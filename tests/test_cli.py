@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -220,3 +221,58 @@ def test_timings_flag_end_to_end(capfdbinary):
     assert run(THEOREM_ARGS + ["--timings"]) == 0
     out, _ = capfdbinary.readouterr()
     assert "elapsed_ms" in json.loads(out)
+
+
+# Exit code and sha256 of stdout for report streams whose bytes must not
+# change while the library underneath is reworked.
+GOLDEN_STREAMS = {
+    "table1-json": (["table1"], 0,
+                    "dd0575237c2e930b1d8d4156ed7597115f68306e01e03a30eabe5a528428b768"),
+    "table1-tsv": (["table1", "--format", "tsv"], 0,
+                   "97cfb345203db7387a77eced81901b529326132fe3c79dcf9c9cd58e511f5e02"),
+    "table1-text": (["table1", "--format", "text"], 0,
+                    "50ef6539cb11fcb9a8ed4a5feaf4a94143a40f7e91ecfa29cf86f30265ca4dfd"),
+    "wz-fuzz": (["wz-fuzz"], 0,
+                "d701e66208586e9628b184e0397452323b674cd701e15556196c27ae453803fb"),
+    "batch-lemmas": (["batch", "--lemmas", "--parallel", "1", "--format", "json"], 0,
+                     "4c25f51fb56979f07152fe35c4122da3e318ec82aabc116b5c4fa37d3f1245b7"),
+    "family-VH_1_2": (["verify", "family", "--name", "VH_1_2", "--p", "13", "--r", "1"], 0,
+                      "ee86d346b47aebc2fd09a93ecfa30d296308d9adfb097cc235481f637fe69324"),
+    "family-SW_1_3": (["verify", "family", "--name", "SW_1_3", "--p", "7", "--r", "1"], 0,
+                      "b317dfde2a7081e822d08127b81d8a58dc74068065e5c9807e97bf7e6b9d77d5"),
+    "family-PTW_1_4": (
+        ["verify", "family", "--name", "PTW_1_4", "--p", "7", "--r", "1", "--alpha", "2/3"], 0,
+        "09e30076aea73d23a11c7e9ef62e9316af8fb61cc8c9d9155d89bc206616a60a",
+    ),
+    "family-GZ_1_5": (["verify", "family", "--name", "GZ_1_5", "--p", "5", "--r", "2"], 0,
+                      "a342b74c7aff7c010ae7d941e64e5a5dcc804f189907860ebcd9e8cb3f5669e1"),
+    "family-C2_1_9": (["verify", "family", "--name", "C2_1_9", "--p", "7", "--r", "2"], 0,
+                      "a4a4a80dc6d61636f03c489899548216d2c09491b5d4b130992f28c56f90a281"),
+    "corollary-3-1": (["verify", "corollary", "--p", "3", "--r", "1"], 0,
+                      "6ae26611984cb655b4b8d39cfeaba0e9616fa6a40cb7c6d326eceb90d7c93e77"),
+    "corollary-7-3": (["verify", "corollary", "--p", "7", "--r", "3"], 0,
+                      "51922effc74d5b746263f4ed1d044bc85fa065c3cdde69b054d4407ff2008622"),
+    # alpha = 1/6 at p = 5: the first dash iterate 5/6 is divisible by p
+    "pochhammer-unit-divisible": (
+        ["verify", "lemma", "--name", "pochhammer-unit",
+         "--c", "1", "--d", "6", "--s", "5", "--p", "5", "--r", "1"], 0,
+        "234463fac8243f000de0892d30303d15d342dc2c0acd91d8a28f01c1debc84f0",
+    ),
+    # alpha = 1/4 at p = 7: both dash iterates are units
+    "pochhammer-unit-unit": (
+        ["verify", "lemma", "--name", "pochhammer-unit",
+         "--c", "1", "--d", "4", "--s", "3", "--p", "7", "--r", "2"], 0,
+        "63e0b4da0672fd93a7cd6dcc603575afc27fddb1836e5605c8c60c101191d6c9",
+    ),
+    "probe": (["probe", "--p", "13", "--r", "1"], 0,
+              "047eabef8b3bf56c65d42378c999d5d6c9d7c26b88ca8579f7136451837611d8"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_STREAMS)
+def test_golden_stream(name, monkeypatch, capfdbinary):
+    argv, code, digest = GOLDEN_STREAMS[name]
+    monkeypatch.delenv(PARALLEL_ENV, raising=False)
+    assert run(argv) == code
+    out, _ = capfdbinary.readouterr()
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .congruence_suite import (
@@ -38,32 +37,6 @@ from .exact_core import INFINITE
 
 PARALLEL_ENV = "SUPERCONG_PARALLEL"
 FORMATS = ("json", "tsv", "text")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved invocation: subcommand, claim arguments and knobs."""
-
-    subcommand: str
-    claim_args: tuple[tuple[str, object], ...] = ()
-    output_format: str = "json"
-    parallelism: int = 1
-    force: bool = False
-    seed: int = DEFAULT_SEED
-    p_min: int = 5
-    p_max: int = 2_000
-    r_values: tuple[int, ...] = (1, 2)
-    include_timings: bool = False
-
-    def __post_init__(self) -> None:
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown format {self.output_format!r}")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
-        if not self.r_values or any(r < 1 for r in self.r_values):
-            raise ValueError("r values must be positive and nonempty")
-        if self.p_min > self.p_max:
-            raise ValueError("empty prime range")
 
 
 def _format_valuation(value) -> str:
@@ -279,94 +252,42 @@ def _resolve_parallelism(flag: int | None) -> int:
         raise ValueError(f"{PARALLEL_ENV} must be an integer, got {env!r}") from exc
 
 
-def _execute(args: argparse.Namespace) -> tuple[RunConfig, list[VerificationReport]]:
-    command = args.command
-    if command == "verify":
-        command = f"verify-{args.target}"
-        if args.target == "theorem":
-            config = RunConfig(
-                command,
-                (("c", args.c), ("d", args.d), ("s", args.s), ("p", args.p), ("r", args.r)),
-                args.format,
-                force=args.force,
-                include_timings=args.timings,
-            )
-            params = DashParams(args.c, args.d, args.s)
-            return config, [verify_theorem(params, args.p, args.r, force=args.force)]
+def _execute(args: argparse.Namespace) -> list[VerificationReport]:
+    if args.command == "verify":
         if args.target == "corollary":
-            config = RunConfig(
-                command,
-                (("p", args.p), ("r", args.r)),
-                args.format,
-                force=args.force,
-                include_timings=args.timings,
-            )
-            return config, [verify_corollary(args.p, args.r, force=args.force)]
+            return [verify_corollary(args.p, args.r, force=args.force)]
         if args.target == "family":
-            claim_args = (("name", args.name), ("p", args.p), ("r", args.r))
-            if args.alpha is not None:
-                claim_args += (("alpha", str(args.alpha)),)
-            config = RunConfig(
-                command, claim_args, args.format, force=args.force, include_timings=args.timings
-            )
-            report = verify_family(args.name, args.p, args.r, args.alpha, force=args.force)
-            return config, [report]
-        config = RunConfig(
-            command,
-            (("name", args.name), ("c", args.c), ("d", args.d), ("s", args.s),
-             ("p", args.p), ("r", args.r)),
-            args.format,
-            force=args.force,
-            include_timings=args.timings,
-        )
+            return [verify_family(args.name, args.p, args.r, args.alpha, force=args.force)]
         params = DashParams(args.c, args.d, args.s)
-        return config, [verify_lemma(args.name, params, args.p, args.r, force=args.force)]
+        if args.target == "theorem":
+            return [verify_theorem(params, args.p, args.r, force=args.force)]
+        return [verify_lemma(args.name, params, args.p, args.r, force=args.force)]
 
-    if command == "table1":
-        config = RunConfig(command, (), args.format, include_timings=args.timings)
-        return config, reproduce_table_1()
+    if args.command == "table1":
+        return reproduce_table_1()
 
-    if command == "wz-fuzz":
-        config = RunConfig(
-            command,
-            (("count", args.count), ("telescope_count", args.telescope_count)),
-            args.format,
-            seed=args.seed,
-            include_timings=args.timings,
-        )
+    if args.command == "wz-fuzz":
         reports = run_wz_fuzz(args.count, args.seed)
-        reports += run_telescope_fuzz(args.telescope_count, args.seed)
-        return config, canonical_sort(reports)
+        return reports + run_telescope_fuzz(args.telescope_count, args.seed)
 
-    if command == "probe":
-        config = RunConfig(
-            command,
-            (("p", args.p), ("r", args.r)),
-            args.format,
-            force=args.force,
-            include_timings=args.timings,
-        )
-        return config, [probe_conjecture_7_1(args.p, args.r, force=args.force)]
+    if args.command == "probe":
+        return [probe_conjecture_7_1(args.p, args.r, force=args.force)]
 
     # batch
-    config = RunConfig(
-        command,
-        (("count", args.count), ("lemmas", args.lemmas)),
-        args.format,
-        parallelism=_resolve_parallelism(args.parallel),
-        force=args.force,
-        p_min=args.p_min,
-        p_max=args.p_max,
-        r_values=tuple(args.r_values),
-        include_timings=args.timings,
-    )
+    parallelism = _resolve_parallelism(args.parallel)
+    if parallelism < 1:
+        raise ValueError("parallelism must be at least 1")
+    if any(r < 1 for r in args.r_values):
+        raise ValueError("r values must be positive")
+    if args.p_min > args.p_max:
+        raise ValueError("empty prime range")
     tasks = theorem_grid(
-        r_values=config.r_values, count=args.count, p_min=config.p_min, p_max=config.p_max
+        r_values=args.r_values, count=args.count, p_min=args.p_min, p_max=args.p_max
     )
-    reports = run_theorem_batch(tasks, config.parallelism, force=config.force)
+    reports = run_theorem_batch(tasks, parallelism, force=args.force)
     if args.lemmas:
-        reports += run_lemma_batch(tasks, config.parallelism, force=config.force)
-    return config, canonical_sort(reports)
+        reports += run_lemma_batch(tasks, parallelism, force=args.force)
+    return reports
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -380,8 +301,8 @@ def run(argv: list[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        config, reports = _execute(args)
-        stream = emit_report(reports, config.output_format, config.include_timings)
+        reports = _execute(args)
+        stream = emit_report(reports, args.format, args.timings)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,8 +22,8 @@ from .dwork import (
     dash,
     dash_closed_form,
     dash_iter,
+    dash_iterates,
     dash_period,
-    least_residue,
 )
 from .exact_core import (
     INFINITE,
@@ -31,7 +31,6 @@ from .exact_core import (
     Rational,
     Valuation,
     is_prime,
-    mod_inverse,
     residue,
     valuation,
 )
@@ -43,7 +42,7 @@ from .hyper_wz import (
     sum_G_boundary,
     wz_residual,
 )
-from .padic_gamma import gamma_p, pochhammer_factorization
+from .padic_gamma import gamma_quotient, pochhammer_factorization
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -96,29 +95,6 @@ class LemmaCheck(Enum):
     SUM_F_DASH_POINT = "sum-f-dash-point"
     SUM_G_WINDOW = "sum-g-window"
     HARMONIC_PRIME = "harmonic-prime"
-
-
-@dataclass(frozen=True)
-class CongruenceClaim:
-    """One congruence lhs = rhs (mod p^required_exponent), both sides exact."""
-
-    id: str
-    lhs: Rational
-    rhs: Rational
-    p: int
-    required_exponent: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise PrimeRequiredError(f"p must be prime, got {self.p}")
-        if self.required_exponent < 1:
-            raise ValueError("required_exponent must be positive")
-
-    def observed(self) -> Valuation:
-        return valuation(Fraction(self.lhs) - Fraction(self.rhs), self.p)
-
-    def holds(self) -> bool:
-        return self.observed() >= self.required_exponent
 
 
 @dataclass(frozen=True)
@@ -259,8 +235,7 @@ def verify_theorem(params: DashParams, p: int, r: int, force: bool = False) -> V
     n_h = _as_int(asr * p - dash_iter(alpha, p, r - 1), "harmonic length")
     lhs = sum_F(alpha, p**r)
     rhs = asr * p**r - asr**3 / dash_iter(HALF + alpha, p, r) * p ** (r + 2) * harmonic(n_h, 2)
-    claim = CongruenceClaim("theorem", lhs, rhs, p, r + 3)
-    return _verdict("theorem", ident, r + 3, claim.observed(), _ms(t0))
+    return _verdict("theorem", ident, r + 3, valuation(lhs - rhs, p), _ms(t0))
 
 
 def verify_corollary(p: int, r: int, force: bool = False) -> VerificationReport:
@@ -289,7 +264,7 @@ def verify_corollary(p: int, r: int, force: bool = False) -> VerificationReport:
             valuation(h_term, 3),
         )
     else:
-        observed = CongruenceClaim("corollary", lhs, 3 * p**r + h_term, p, required).observed()
+        observed = valuation(lhs - 3 * p**r - h_term, p)
     return _verdict("corollary", ident, required, observed, _ms(t0))
 
 
@@ -302,13 +277,6 @@ def _quartic_sum(alpha: Rational, upper: int, slope: Rational, intercept: Ration
             ratio *= Fraction(alpha + k - 1, k) ** 4
         total += (slope * k + intercept) * ratio
     return total
-
-
-def _gamma_quarter_ratio(p: int, m: int) -> int:
-    """Residue of Gamma_p(1/2) Gamma_p(1/4) / Gamma_p(3/4) mod p^m."""
-    pm = p**m
-    num = gamma_p(HALF, p, m).residue * gamma_p(QUARTER, p, m).residue % pm
-    return num * mod_inverse(gamma_p(Fraction(3, 4), p, m).residue, pm) % pm
 
 
 def verify_family(
@@ -344,7 +312,7 @@ def verify_family(
         if r != 1:
             return _skipped(claim_id, ident, f"r={r} is not 1", _ms(t0))
         lhs = _quartic_sum(QUARTER, (p - 1) // 4, Fraction(8), Fraction(1))
-        rhs_res = p * _gamma_quarter_ratio(p, 3) % p**3
+        rhs_res = p * gamma_quotient([HALF, QUARTER], [Fraction(3, 4)], p, 3) % p**3
         return _verdict(claim_id, ident, 3, _residue_gap_valuation(lhs, rhs_res, p, 3), _ms(t0))
 
     if fam is Family.SW_1_3:
@@ -353,8 +321,8 @@ def verify_family(
         if r != 1:
             return _skipped(claim_id, ident, f"r={r} is not 1", _ms(t0))
         lhs = _quartic_sum(QUARTER, (3 * p - 1) // 4, Fraction(8), Fraction(1))
-        pm = p**4
-        rhs_res = residue(Fraction(-3, 2), p, 4) * p % pm * p % pm * _gamma_quarter_ratio(p, 4) % pm
+        gammas = gamma_quotient([HALF, QUARTER], [Fraction(3, 4)], p, 4)
+        rhs_res = residue(Fraction(-3, 2) * p * p, p, 4) * gammas % p**4
         return _verdict(claim_id, ident, 4, _residue_gap_valuation(lhs, rhs_res, p, 4), _ms(t0))
 
     if fam is Family.PTW_1_4:
@@ -365,22 +333,15 @@ def verify_family(
         if valuation(alpha, p) < 0:
             return _skipped(claim_id, ident, "alpha is not a p-adic integer", _ms(t0))
         bound = (p + 1) // 2
-        res = least_residue(-alpha, p, 1)
+        res = residue(-alpha, p, 1)
         if res < bound:
             return _skipped(
                 claim_id, ident, f"residue of -alpha is {res}, below (p+1)/2", _ms(t0)
             )
         lhs = _quartic_sum(alpha, p - 1, 2 / alpha, Fraction(1))
         astar = dash(alpha, p)
-        pm = p**4
-        gammas = (
-            gamma_p(1 - 2 * alpha, p, 4).residue
-            * mod_inverse(
-                gamma_p(1 + alpha, p, 4).residue * gamma_p(1 - alpha, p, 4).residue ** 3 % pm, pm
-            )
-            % pm
-        )
-        rhs_res = p * p % pm * residue(astar * (2 * astar - 1), p, 4) % pm * gammas % pm
+        gammas = gamma_quotient([1 - 2 * alpha], [1 + alpha] + [1 - alpha] * 3, p, 4)
+        rhs_res = residue(p * p * astar * (2 * astar - 1), p, 4) * gammas % p**4
         return _verdict(claim_id, ident, 4, _residue_gap_valuation(lhs, rhs_res, p, 4), _ms(t0))
 
     if fam is Family.GZ_1_5:
@@ -388,16 +349,14 @@ def verify_family(
             return _skipped(claim_id, ident, f"p={p} is not 1 mod 4", _ms(t0))
         _guard(p**r, force)
         lhs = 4 * sum_F(QUARTER, (p**r - 1) // 2 + 1)
-        claim = CongruenceClaim(claim_id, lhs, Fraction(p**r), p, r + 3)
-        return _verdict(claim_id, ident, r + 3, claim.observed(), _ms(t0))
+        return _verdict(claim_id, ident, r + 3, valuation(lhs - p**r, p), _ms(t0))
 
     # C2_1_9
     if p < 5:
         return _skipped(claim_id, ident, f"p={p} is below 5", _ms(t0))
     _guard(p**r, force)
     lhs = _quartic_sum(HALF, p**r - 1, Fraction(4), Fraction(1))
-    claim = CongruenceClaim(claim_id, lhs, Fraction(p**r), p, r + 3)
-    return _verdict(claim_id, ident, r + 3, claim.observed(), _ms(t0))
+    return _verdict(claim_id, ident, r + 3, valuation(lhs - p**r, p), _ms(t0))
 
 
 _DASH_HYP = frozenset(
@@ -443,31 +402,22 @@ def _check_dash_closed_form(params: DashParams, p: int, r: int) -> tuple[int, Va
 
 
 def _check_dash_iterates(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
-    steps = max(r, dash_period(params.d, params.s))
-    pairs = []
-    x = params.alpha
-    for n in range(1, steps + 1):
-        x = dash(x, p)
-        pairs.append((x, dash_closed_form(params, n)))
+    iterates = dash_iterates(params.alpha, p, max(r, dash_period(params.d, params.s)))
+    pairs = [(x, dash_closed_form(params, n)) for n, x in enumerate(iterates[1:], 1)]
     return 1, _all_equal(pairs)
 
 
 def _check_dash_period(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
-    period = dash_period(params.d, params.s)
-    x = params.alpha
-    first_return = None
-    for n in range(1, period + 1):
-        x = dash(x, p)
-        if x == params.alpha:
-            first_return = n
-            break
-    return 1, INFINITE if first_return == period else 0
+    iterates = dash_iterates(params.alpha, p, dash_period(params.d, params.s))
+    # the orbit returns to alpha after exactly one period, and not before
+    closes = iterates[-1] == params.alpha and params.alpha not in iterates[1:-1]
+    return 1, INFINITE if closes else 0
 
 
-def _check_dash_least_residue(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
+def _check_dash_residue(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     alpha = params.alpha
     iterate = dash_iter(alpha, p, r)
-    a = least_residue(-alpha, p, r)
+    a = residue(-alpha, p, r)
     pairs = [
         (iterate, dash_closed_form(params, r)),
         (iterate, (alpha + a) / p**r),
@@ -477,10 +427,7 @@ def _check_dash_least_residue(params: DashParams, p: int, r: int) -> tuple[int, 
 
 def _check_dash_max_multiple(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     # vacuously true at r = 1: there is no j to check
-    alpha = params.alpha
-    iterates = [alpha]
-    for _ in range(r):
-        iterates.append(dash(iterates[-1], p))
+    iterates = dash_iterates(params.alpha, p, r)
     asr = iterates[r]
     for j in range(r - 1):
         bound = _as_int(asr * p ** (r - j) - iterates[j], "candidate range end")
@@ -504,26 +451,19 @@ def _check_pochhammer_unit(params: DashParams, p: int, r: int) -> tuple[int, Val
         diff = pochhammer(alpha, p**r) - Fraction(unit) * p**exponent
         return exponent + 2, valuation(diff, p)
     exponent = sum(p ** (j - 1) for j in range(1, r + 1))
-    iterates = [alpha]
-    for _ in range(r):
-        iterates.append(dash(iterates[-1], p))
-    asr = iterates[r]
+    iterates = dash_iterates(alpha, p, r)
+    asr = iterates.pop()
     scaled = pochhammer(alpha, p**r) / (Fraction((-1) ** r) * asr * p**exponent)
     if valuation(scaled, p) != 0:
         return 2, 0
-    pm = p**2
-    prod = 1
-    for j in range(1, r + 1):
-        y = iterates[r - j]
-        ratio = gamma_p(y + p**j, p, 2).residue * mod_inverse(gamma_p(y, p, 2).residue, pm)
-        prod = prod * ratio % pm
-    return 2, _residue_gap_valuation(scaled, prod, p, 2)
+    shifted = [y + p ** (r - i) for i, y in enumerate(iterates)]
+    return 2, _residue_gap_valuation(scaled, gamma_quotient(shifted, iterates, p, 2), p, 2)
 
 
 def _check_half_shift_ratio(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     alpha = params.alpha
     pr = p**r
-    a = least_residue(-alpha, p, r)
+    a = residue(-alpha, p, r)
     asr = dash_iter(alpha, p, r)
     shifted = (2 * asr - 1) / (2 * asr + 1)
     split = a >= (pr + 1) // 2
@@ -547,7 +487,7 @@ def _check_harmonic_square_scaled(params: DashParams, p: int, r: int) -> tuple[i
 
 def _check_harmonic_shift(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     alpha = params.alpha
-    a = least_residue(-alpha, p, r)
+    a = residue(-alpha, p, r)
     asr = dash_iter(alpha, p, r)
     n_h = _as_int(asr * p - dash_iter(alpha, p, r - 1), "harmonic length")
     scale = p ** (2 * r)
@@ -559,18 +499,17 @@ def _check_harmonic_shift(params: DashParams, p: int, r: int) -> tuple[int, Valu
 
 def _check_sum_f_dash_point(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     point = dash_iter(params.alpha, p, r) * p**r
-    claim = CongruenceClaim("sum-f-dash-point", sum_F(point, p**r), point, p, r + 3)
-    return r + 3, claim.observed()
+    return r + 3, valuation(sum_F(point, p**r) - point, p)
 
 
 def _check_sum_g_window(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     alpha = params.alpha
-    a = least_residue(-alpha, p, r)
+    a = residue(-alpha, p, r)
     asr = dash_iter(alpha, p, r)
     n_h = _as_int(asr * p - dash_iter(alpha, p, r - 1), "harmonic length")
     lhs = sum_G_boundary(alpha, a, p**r)
     rhs = asr**3 / dash_iter(HALF + alpha, p, r) * p ** (r + 2) * harmonic(n_h, 2)
-    return r + 3, CongruenceClaim("sum-g-window", lhs, rhs, p, r + 3).observed()
+    return r + 3, valuation(lhs - rhs, p)
 
 
 def _check_harmonic_prime(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
@@ -585,7 +524,7 @@ _LEMMA_CHECKS = {
     LemmaCheck.DASH_CLOSED_FORM: _check_dash_closed_form,
     LemmaCheck.DASH_ITERATES: _check_dash_iterates,
     LemmaCheck.DASH_PERIOD: _check_dash_period,
-    LemmaCheck.DASH_LEAST_RESIDUE: _check_dash_least_residue,
+    LemmaCheck.DASH_LEAST_RESIDUE: _check_dash_residue,
     LemmaCheck.DASH_MAX_MULTIPLE: _check_dash_max_multiple,
     LemmaCheck.POCHHAMMER_UNIT: _check_pochhammer_unit,
     LemmaCheck.HALF_SHIFT_RATIO: _check_half_shift_ratio,

@@ -38,25 +38,25 @@ class DashParams:
         return Fraction(self.c, self.d)
 
 
-def least_residue(x: Rational, p: int, r: int) -> int:
-    """<x> mod p^r for a p-adic integer rational x."""
-    return residue(x, p, r)
-
-
 def dash(x: Rational, p: int) -> Rational:
     """One application of the dash operation. The result is again a p-adic integer."""
     x = Fraction(x)
-    return (x + least_residue(-x, p, 1)) / p
+    return (x + residue(-x, p, 1)) / p
+
+
+def dash_iterates(x: Rational, p: int, n: int) -> list[Rational]:
+    """[x, x*, x**, ..., x^(*n)], one dash step at a time; n = 0 gives [x]."""
+    if n < 0:
+        raise ValueError(f"iteration count must be >= 0, got {n}")
+    iterates = [Fraction(x)]
+    for _ in range(n):
+        iterates.append(dash(iterates[-1], p))
+    return iterates
 
 
 def dash_iter(x: Rational, p: int, n: int) -> Rational:
     """n-fold dash; n = 0 returns x unchanged."""
-    if n < 0:
-        raise ValueError(f"iteration count must be >= 0, got {n}")
-    y = Fraction(x)
-    for _ in range(n):
-        y = dash(y, p)
-    return y
+    return dash_iterates(x, p, n)[-1]
 
 
 def dash_closed_form(params: DashParams, n: int) -> Rational:
@@ -84,39 +84,3 @@ def dash_period(d: int, s: int) -> int:
         acc = acc * s % d
         n += 1
     return n
-
-
-@dataclass(frozen=True)
-class DashOrbit:
-    """A purely periodic dash orbit: iterates[0] = base, iterates[period] = base again."""
-
-    base: Rational
-    p: int
-    iterates: tuple[Rational, ...]
-    period: int
-
-    def __post_init__(self) -> None:
-        if self.iterates[0] != self.base or self.iterates[self.period] != self.base:
-            raise ValueError("orbit does not close up on its base point")
-
-
-def dash_orbit(x: Rational, p: int, max_steps: int = 10_000) -> DashOrbit:
-    """Follow the dash orbit of x until it returns to x.
-
-    Raises ValueError if the orbit is only eventually periodic (enters a cycle
-    that does not contain x, e.g. x = 7/6 falling onto 1/6) or does not close
-    within max_steps.
-    """
-    x = Fraction(x)
-    iterates = [x]
-    seen = {x}
-    y = x
-    for _ in range(max_steps):
-        y = dash(y, p)
-        iterates.append(y)
-        if y == x:
-            return DashOrbit(base=x, p=p, iterates=tuple(iterates), period=len(iterates) - 1)
-        if y in seen:
-            raise ValueError(f"orbit of {x} is eventually periodic but never returns to {x}")
-        seen.add(y)
-    raise ValueError(f"orbit of {x} did not close within {max_steps} steps")

@@ -1,13 +1,13 @@
-"""Exact rational arithmetic with p-adic valuations, residues and congruence tests.
+"""Exact rational arithmetic with p-adic valuations and residues.
 
 Everything downstream (dash iterates, Gamma_p, hypergeometric sums) reduces to the
-four operations here: valuation, residue, congruent, mod_inverse. All values are
-fractions.Fraction; there is no floating point anywhere in this package.
+three operations here: valuation, residue, mod_inverse. A congruence a = b (mod p^m)
+is the bound valuation(a - b, p) >= m. All values are fractions.Fraction; there is
+no floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -129,46 +129,3 @@ def residue(q: Rational, p: int, m: int) -> int:
         raise PadicDenominatorError(f"{q} is not a p-adic integer for p = {p}")
     pm = p**m
     return q.numerator * mod_inverse(q.denominator, pm) % pm
-
-
-def congruent(a: Rational, b: Rational, p: int, m: int) -> bool:
-    """True iff v_p(a - b) >= m. Exact equality passes every exponent."""
-    if m < 1:
-        raise ValueError(f"exponent must be positive, got {m}")
-    return valuation(Fraction(a) - Fraction(b), p) >= m
-
-
-@dataclass(frozen=True)
-class PAdicContext:
-    """A prime p, a congruence level r, and a working-precision exponent m >= r."""
-
-    p: int
-    r: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise PrimeRequiredError(f"p must be prime, got {self.p}")
-        if self.p < 3:
-            raise ValueError("p must be an odd prime")
-        if self.r < 1:
-            raise ValueError(f"r must be positive, got {self.r}")
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
-
-    @property
-    def working_modulus(self) -> int:
-        return self.p**self.m
-
-    def valuation(self, q: Rational) -> Valuation:
-        return valuation(q, self.p)
-
-    def least_residue(self, q: Rational) -> int:
-        """<q> mod p^r, the level the claims of interest live at."""
-        return residue(q, self.p, self.r)
-
-    def residue(self, q: Rational, m: int | None = None) -> int:
-        return residue(q, self.p, self.m if m is None else m)
-
-    def congruent(self, a: Rational, b: Rational, m: int | None = None) -> bool:
-        return congruent(a, b, self.p, self.m if m is None else m)

@@ -8,6 +8,7 @@ factorization of (x)_{p^r} into dash iterates and Gamma_p ratios lives here too.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +22,7 @@ from .exact_core import (
     residue,
     valuation,
 )
-from .dwork import dash
+from .dwork import dash_iterates
 
 PRECISION_CAP = 10**6
 
@@ -68,14 +69,6 @@ def _gamma_product(n: int, p: int, pm: int) -> int:
     return acc % pm
 
 
-def gamma_p_int(n: int, p: int, M: int) -> GammaValue:
-    """Gamma_p at a nonnegative integer, reduced into [0, p^M) first (Lipschitz)."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    pm = _check_modulus(p, M)
-    return GammaValue(residue=_gamma_product(n % pm, p, pm), p=p, M=M)
-
-
 def gamma_p(x: Rational, p: int, M: int) -> GammaValue:
     """Gamma_p at a p-adic integer rational, via its integer representative mod p^M."""
     pm = _check_modulus(p, M)
@@ -85,16 +78,15 @@ def gamma_p(x: Rational, p: int, M: int) -> GammaValue:
     return GammaValue(residue=_gamma_product(residue(x, p, M), p, pm), p=p, M=M)
 
 
-def gamma_ratio(x: Rational, p: int, M: int) -> int:
-    """Residue mod p^M of Gamma_p(x+1)/Gamma_p(x).
-
-    Equals -x when x is a p-adic unit and -1 when p | x, which the tests check;
-    the implementation just divides the two values.
-    """
-    pm = _check_modulus(p, M)
-    num = gamma_p(Fraction(x) + 1, p, M).residue
-    den = gamma_p(x, p, M).residue
-    return num * mod_inverse(den, pm) % pm
+def gamma_quotient(numer: Iterable[Rational], denom: Iterable[Rational], p: int, M: int) -> int:
+    """Residue mod p^M of prod Gamma_p(a) over numer divided by prod Gamma_p(b) over denom."""
+    pm = p**M
+    top = bottom = 1
+    for a in numer:
+        top = top * gamma_p(a, p, M).residue % pm
+    for b in denom:
+        bottom = bottom * gamma_p(b, p, M).residue % pm
+    return top * mod_inverse(bottom, pm) % pm
 
 
 def pochhammer_factorization(x: Rational, p: int, r: int, M: int) -> tuple[int, int]:
@@ -118,18 +110,11 @@ def pochhammer_factorization(x: Rational, p: int, r: int, M: int) -> tuple[int, 
     x = Fraction(x)
     if x.denominator % p == 0:
         raise PadicDenominatorError(f"{x} is not a p-adic integer for p = {p}")
-    iterates = [x]
-    for _ in range(r):
-        iterates.append(dash(iterates[-1], p))
-    xsr = iterates[r]
+    iterates = dash_iterates(x, p, r)
+    xsr = iterates.pop()
     if valuation(xsr, p) != 0:
         raise ValueError(f"the r-th dash iterate {xsr} of {x} is not a p-adic unit")
-
-    pm = p**M
-    unit = residue(Fraction(-1) ** r * xsr, p, M)
-    for j in range(1, r + 1):
-        y = iterates[r - j]
-        ratio = gamma_p(y + p**j, p, M).residue * mod_inverse(gamma_p(y, p, M).residue, pm)
-        unit = unit * ratio % pm
+    shifted = [y + p ** (r - i) for i, y in enumerate(iterates)]
+    unit = residue(Fraction(-1) ** r * xsr, p, M) * gamma_quotient(shifted, iterates, p, M) % p**M
     E = sum(p ** (j - 1) for j in range(1, r + 1))
     return E, unit

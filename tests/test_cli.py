@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from supercong import cli
-from supercong.cli import PARALLEL_ENV, RunConfig, emit_report, run
+from supercong.cli import PARALLEL_ENV, emit_report, run
 from supercong.congruence_suite import VerificationReport
 from supercong.exact_core import INFINITE
 
@@ -147,17 +147,19 @@ def test_emit_report_text_summary():
     assert lines[4] == "2 passed, 0 failed, 1 skipped, 1 informational"
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig("batch", output_format="xml")
-    with pytest.raises(ValueError):
-        RunConfig("batch", parallelism=0)
-    with pytest.raises(ValueError):
-        RunConfig("batch", r_values=())
-    with pytest.raises(ValueError):
-        RunConfig("batch", r_values=(1, 0))
-    with pytest.raises(ValueError):
-        RunConfig("batch", p_min=100, p_max=50)
+def test_run_config_validation(monkeypatch, capfdbinary):
+    monkeypatch.delenv(PARALLEL_ENV, raising=False)
+    for flags in (
+        ["--parallel", "0"],
+        ["--r-values", "1,0"],
+        ["--r-values", ","],
+        ["--p-min", "100", "--p-max", "50"],
+        ["--format", "xml"],
+    ):
+        assert run(["batch", *flags]) == 2, flags
+        out, err = capfdbinary.readouterr()
+        assert out == b""
+        assert err
 
 
 def test_parallelism_resolution(monkeypatch):

@@ -8,7 +8,6 @@ from supercong.congruence_suite import (
     DEFAULT_SEED,
     TERM_GUARD,
     THEOREM_ROWS,
-    CongruenceClaim,
     Family,
     LemmaCheck,
     ResourceGuardError,
@@ -29,8 +28,8 @@ from supercong.congruence_suite import (
     verify_theorem,
     wz_fuzz_cases,
 )
-from supercong.dwork import DashParams, dash_iter, least_residue
-from supercong.exact_core import INFINITE, PrimeRequiredError, valuation
+from supercong.dwork import DashParams, dash_iter
+from supercong.exact_core import INFINITE, PrimeRequiredError, residue, valuation
 from supercong.hyper_wz import harmonic, half_pole_index, sum_F, sum_G_boundary
 
 HALF = Fraction(1, 2)
@@ -257,18 +256,29 @@ def test_table_reproduction():
 
 
 def test_claim_validation():
+    # every claim needs a prime p and a positive level before anything is computed
+    params = DashParams(1, 4, 3)
     with pytest.raises(PrimeRequiredError):
-        CongruenceClaim("t", Fraction(1), Fraction(0), 6, 1)
+        verify_family(Family.C2_1_9, 6, 1)
     with pytest.raises(ValueError):
-        CongruenceClaim("t", Fraction(1), Fraction(0), 5, 0)
+        verify_family(Family.C2_1_9, 5, 0)
+    with pytest.raises(PrimeRequiredError):
+        verify_lemma(LemmaCheck.HARMONIC_PRIME, params, 6, 1)
+    with pytest.raises(ValueError):
+        verify_lemma(LemmaCheck.HARMONIC_PRIME, params, 7, 0)
 
 
 def test_claim_observed_and_holds():
-    claim = CongruenceClaim("t", Fraction(77, 3), Fraction(2, 3), 5, 2)
-    assert claim.observed() == 2
-    assert claim.holds()
-    assert not CongruenceClaim("t", Fraction(77, 3), Fraction(2, 3), 5, 3).holds()
-    assert CongruenceClaim("t", Fraction(1, 4), Fraction(1, 4), 7, 9).observed() is INFINITE
+    # the observation is v_p(lhs - rhs), and a report's verdict must agree with it
+    observed = valuation(Fraction(77, 3) - Fraction(2, 3), 5)
+    assert observed == 2
+    assert VerificationReport("t", (), 2, observed, True).passed
+    assert VerificationReport("t", (), 3, observed, False).passed is False
+    with pytest.raises(ValueError):
+        VerificationReport("t", (), 3, observed, True)
+    equal = valuation(Fraction(1, 4) - Fraction(1, 4), 7)
+    assert equal is INFINITE
+    assert VerificationReport("t", (), 9, equal, True).passed
 
 
 @given(
@@ -277,9 +287,14 @@ def test_claim_observed_and_holds():
     p=st.sampled_from([3, 5, 7]),
 )
 def test_claim_monotone_in_exponent(lhs, rhs, p):
-    observed = CongruenceClaim("t", lhs, rhs, p, 1).observed()
+    observed = valuation(lhs - rhs, p)
+    verdicts = []
     for m in range(1, 6):
-        assert CongruenceClaim("t", lhs, rhs, p, m).holds() == (observed >= m)
+        verdicts.append(VerificationReport("t", (), m, observed, observed >= m).passed)
+        with pytest.raises(ValueError):
+            VerificationReport("t", (), m, observed, not observed >= m)
+    # once a claim fails at some exponent it fails at every higher one
+    assert verdicts == sorted(verdicts, reverse=True)
 
 
 def test_report_validation():
@@ -421,7 +436,7 @@ def test_sum_decomposes_through_dash_point():
     ]:
         alpha = params.alpha
         n = p**r
-        a = least_residue(-alpha, p, r)
+        a = residue(-alpha, p, r)
         asr = dash_iter(alpha, p, r)
         assert alpha + a == asr * n
         assert sum_F(alpha, n) == sum_F(asr * n, n) - sum_G_boundary(alpha, a, n)

@@ -12,9 +12,9 @@ from supercong import (
     dash,
     dash_closed_form,
     dash_iter,
-    dash_orbit,
+    dash_iterates,
     dash_period,
-    least_residue,
+    residue,
 )
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19]
@@ -37,9 +37,9 @@ def valid_params():
 
 
 def test_least_residue_reference_values():
-    assert least_residue(Rational(-1, 4), 7, 1) == 5
-    assert least_residue(Rational(-1, 4), 13, 1) == 3
-    assert least_residue(Rational(0), 11, 2) == 0
+    assert residue(Rational(-1, 4), 7, 1) == 5
+    assert residue(Rational(-1, 4), 13, 1) == 3
+    assert residue(Rational(0), 11, 2) == 0
 
 
 def test_dash_reference_values():
@@ -61,6 +61,16 @@ def test_dash_iter_reference_values():
     assert dash_iter(Rational(5, 6), 7, 1) == Rational(5, 6)
     with pytest.raises(ValueError):
         dash_iter(Rational(1, 4), 7, -1)
+
+
+def test_dash_iterates_lists_every_step():
+    assert dash_iterates(Rational(22, 7), 5, 0) == [Rational(22, 7)]
+    assert dash_iterates(Rational(1, 4), 7, 2) == [Rational(1, 4), Rational(3, 4), Rational(1, 4)]
+    assert dash_iterates(Rational(1, 6), 5, 3) == [
+        Rational(1, 6), Rational(5, 6), Rational(1, 6), Rational(5, 6)
+    ]
+    with pytest.raises(ValueError):
+        dash_iterates(Rational(1, 4), 7, -1)
 
 
 def test_dash_closed_form_reference_values():
@@ -89,24 +99,21 @@ def test_params_validation():
         DashParams(1, 1, 1)  # d too small
 
 
-def test_orbit_closes_with_minimal_period():
-    orbit = dash_orbit(Rational(1, 4), 7)
-    assert orbit.iterates == (Rational(1, 4), Rational(3, 4), Rational(1, 4))
-    assert orbit.period == 2
-    assert orbit.period == dash_period(4, 3)
-
-
-def test_orbit_rejects_eventually_periodic_points():
-    # 7/6 falls onto the cycle of 1/6 without ever returning to 7/6
-    with pytest.raises(ValueError):
-        dash_orbit(Rational(7, 6), 5)
+@given(valid_params())
+def test_orbit_closes_with_minimal_period(triple):
+    c, d, s = triple
+    alpha = DashParams(c, d, s).alpha
+    period = dash_period(d, s)
+    for p in [p for p in PRIMES if p % d == s % d and d % p != 0]:
+        assert dash_iter(alpha, p, period) == alpha
+        assert all(dash_iter(alpha, p, n) != alpha for n in range(1, period))
 
 
 @given(rationals, primes)
 def test_dash_step_subtracts_a_least_residue(x, p):
     assume(x.denominator % p != 0)
     shift = p * dash(x, p) - x
-    assert shift == least_residue(-x, p, 1)
+    assert shift == residue(-x, p, 1)
     assert 0 <= shift < p
 
 
@@ -126,7 +133,7 @@ def test_iterate_equals_base_plus_residue_over_prime_power(triple, p, r):
     c, d, s = triple
     alpha = DashParams(c, d, s).alpha
     assume(d % p != 0)
-    a = least_residue(-alpha, p, r)
+    a = residue(-alpha, p, r)
     assert dash_iter(alpha, p, r) == (alpha + a) / p**r
 
 

@@ -1,4 +1,4 @@
-"""Valuations, residues, congruences and modular inverses."""
+"""Valuations, residues, congruences (as valuation bounds) and modular inverses."""
 
 import pickle
 
@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from supercong import (
     INFINITE,
     NonInvertibleError,
-    PAdicContext,
     PadicDenominatorError,
     PrimeRequiredError,
     Rational,
-    congruent,
     is_prime,
     mod_inverse,
     residue,
@@ -75,9 +73,10 @@ def test_residue_rejects_denominator_divisible_by_p():
 
 
 def test_congruent_reference_values():
-    assert congruent(Rational(205, 144), Rational(0), 5, 1)
-    assert congruent(Rational(1), Rational(1), 7, 100)
-    assert not congruent(Rational(1, 4), Rational(3, 4), 7, 1)
+    # a = b (mod p^m) is the bound v_p(a - b) >= m; exact equality clears every m
+    assert valuation(Rational(205, 144) - 0, 5) >= 1
+    assert valuation(Rational(1) - Rational(1), 7) >= 100
+    assert valuation(Rational(1, 4) - Rational(3, 4), 7) < 1
 
 
 def test_mod_inverse_reference_values():
@@ -111,16 +110,21 @@ def test_residue_is_the_unique_fixed_point(q, p, m):
     assume(q.denominator % p != 0)
     t = residue(q, p, m)
     assert 0 <= t < p**m
-    assert congruent(q, Rational(t), p, m)
+    assert valuation(q - t, p) >= m
     other = (t + 1) % p**m
-    assert not congruent(q, Rational(other), p, m)
+    assert valuation(q - other, p) < m
 
 
 @given(rationals, rationals, primes, st.integers(min_value=1, max_value=5))
 def test_congruent_weakens_as_the_exponent_drops(q, q2, p, m):
-    if congruent(q, q2, p, m):
+    # on p-adic integers, equal residues mod p^m is the valuation bound, and
+    # it survives reduction to every lower exponent
+    assume(q.denominator % p != 0 and q2.denominator % p != 0)
+    same = residue(q, p, m) == residue(q2, p, m)
+    assert same == (valuation(q - q2, p) >= m)
+    if same:
         for lower in range(1, m):
-            assert congruent(q, q2, p, lower)
+            assert residue(q, p, lower) == residue(q2, p, lower)
 
 
 @given(rationals, rationals)
@@ -130,11 +134,12 @@ def test_rational_arithmetic_round_trips(a, b):
     assert (a * b) / b == a
 
 
-def test_context_bundles_the_three_basic_queries():
-    ctx = PAdicContext(7, 1, 2)
-    assert ctx.working_modulus == 49
-    assert ctx.valuation(Rational(49, 3)) == 2
-    assert ctx.residue(Rational(1, 4)) == 37
-    assert ctx.congruent(Rational(1, 4), Rational(37))
+def test_basic_queries_at_one_prime_power():
+    # valuation, residue and congruence at p = 7, working modulus 7^2 = 49
+    assert valuation(Rational(49, 3), 7) == 2
+    assert residue(Rational(1, 4), 7, 2) == 37
+    assert valuation(Rational(1, 4) - 37, 7) >= 2
     with pytest.raises(PrimeRequiredError):
-        PAdicContext(6, 1, 2)
+        residue(Rational(1, 4), 6, 2)
+    with pytest.raises(ValueError):
+        residue(Rational(1, 4), 7, 0)

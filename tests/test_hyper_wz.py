@@ -101,6 +101,25 @@ def test_sum_f_matches_term_sum():
             assert sum_F(x, n) == sum(term_F(x, k) for k in range(n))
 
 
+def test_kernel_scalings_are_the_family_summands():
+    # 4 F(1/4, k) is the corollary and GZ_1_5 summand, 2 F(1/2, k) the C2_1_9 summand
+    quarter, half, one = Rational(1, 4), Rational(1, 2), Rational(1)
+
+    def gz(k):
+        num = (8 * k + 1) * pochhammer(quarter, k) ** 3 * pochhammer(half, k)
+        return num / (pochhammer(one, k) ** 3 * pochhammer(Rational(3, 4), k))
+
+    def c2(k):
+        return (4 * k + 1) * (pochhammer(half, k) / pochhammer(one, k)) ** 4
+
+    for k in range(30):
+        assert 4 * term_F(quarter, k) == gz(k)
+        assert 2 * term_F(half, k) == c2(k)
+    for n in (1, 5, 30):
+        assert 4 * sum_F(quarter, n) == sum(gz(k) for k in range(n))
+        assert 2 * sum_F(half, n) == sum(c2(k) for k in range(n))
+
+
 def test_sum_g_boundary_reference_values():
     assert sum_G_boundary(Rational(1, 4), 0, 5) == 0
     assert sum_G_boundary(Rational(1, 4), 1, 1) == 1

@@ -13,8 +13,7 @@ from supercong import (
     Rational,
     dash_iter,
     gamma_p,
-    gamma_p_int,
-    gamma_ratio,
+    gamma_quotient,
     pochhammer,
     pochhammer_factorization,
     residue,
@@ -26,9 +25,9 @@ primes = st.sampled_from([3, 5, 7, 11, 13])
 
 
 def test_gamma_int_reference_values():
-    assert gamma_p_int(0, 5, 3).residue == 1
-    assert gamma_p_int(1, 5, 3).residue == 124
-    assert gamma_p_int(3, 5, 2).residue == 23
+    assert gamma_p(Rational(0), 5, 3).residue == 1
+    assert gamma_p(Rational(1), 5, 3).residue == 124
+    assert gamma_p(Rational(3), 5, 2).residue == 23
 
 
 def test_gamma_rational_reference_values():
@@ -48,7 +47,12 @@ def test_gamma_input_validation():
     with pytest.raises(PrecisionCapError):
         gamma_p(Rational(1, 2), 101, 3)
     with pytest.raises(ValueError):
-        gamma_p_int(-1, 5, 2)
+        gamma_p(Rational(1, 2), 5, 0)
+
+
+def gamma_ratio(x, p, M):
+    """Gamma_p(x+1)/Gamma_p(x) mod p^M through the shared quotient."""
+    return gamma_quotient([x + 1], [x], p, M)
 
 
 def test_gamma_ratio_reference_values():
@@ -57,9 +61,21 @@ def test_gamma_ratio_reference_values():
     assert gamma_ratio(Rational(0), 5, 2) == 24
 
 
+def test_gamma_quotient_of_several_values():
+    # Gamma_p(1/2) Gamma_p(1/4) / Gamma_p(3/4), the Gamma factor of VH_1_2 and SW_1_3
+    pm = 7**3
+    num = gamma_p(Rational(1, 2), 7, 3).residue * gamma_p(Rational(1, 4), 7, 3).residue
+    got = gamma_quotient([Rational(1, 2), Rational(1, 4)], [Rational(3, 4)], 7, 3)
+    assert got * gamma_p(Rational(3, 4), 7, 3).residue % pm == num % pm
+    assert gamma_quotient([], [], 7, 3) == 1
+    assert gamma_quotient([Rational(2, 3)], [Rational(2, 3)], 5, 2) == 1
+    with pytest.raises(PrecisionCapError):
+        gamma_quotient([Rational(1, 2)], [], 101, 3)
+
+
 @given(st.integers(min_value=0, max_value=300), primes, st.integers(min_value=1, max_value=3))
 def test_gamma_values_are_units(n, p, M):
-    value = gamma_p_int(n, p, M)
+    value = gamma_p(Rational(n), p, M)
     assert 0 <= value.residue < p**M
     assert gcd(value.residue, p) == 1
 

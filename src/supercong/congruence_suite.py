@@ -446,13 +446,13 @@ def _check_pochhammer_unit(params: DashParams, p: int, r: int) -> tuple[int, Val
     checked with the iterate divided out, which keeps both sides units.
     """
     alpha = params.alpha
-    if residue(dash_iter(alpha, p, r), p, 1) != 0:
+    iterates = dash_iterates(alpha, p, r)
+    asr = iterates.pop()
+    if residue(asr, p, 1) != 0:
         exponent, unit = pochhammer_factorization(alpha, p, r, 2)
         diff = pochhammer(alpha, p**r) - Fraction(unit) * p**exponent
         return exponent + 2, valuation(diff, p)
     exponent = sum(p ** (j - 1) for j in range(1, r + 1))
-    iterates = dash_iterates(alpha, p, r)
-    asr = iterates.pop()
     scaled = pochhammer(alpha, p**r) / (Fraction((-1) ** r) * asr * p**exponent)
     if valuation(scaled, p) != 0:
         return 2, 0

@@ -40,7 +40,7 @@ FORMATS = ("json", "tsv", "text")
 
 
 def _format_valuation(value) -> str:
-    return "inf" if value is INFINITE else str(value)
+    return "inf" if value == INFINITE else str(value)
 
 
 def _params_text(rep: VerificationReport) -> str:
@@ -56,7 +56,7 @@ def _json_lines(reports: list[VerificationReport], include_timings: bool) -> str
         else:
             obj["required_exponent"] = rep.required_exponent
             obj["observed_valuation"] = (
-                "inf" if rep.observed_valuation is INFINITE else rep.observed_valuation
+                "inf" if rep.observed_valuation == INFINITE else rep.observed_valuation
             )
             if rep.informational:
                 obj["informational"] = True

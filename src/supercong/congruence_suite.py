@@ -71,6 +71,8 @@ class Family(Enum):
              p^r, exponent r+3, p = 1 mod 4.
     C2_1_9:  sum of (4k+1)((1/2)_k/(1)_k)^4 to p^r-1 against p^r, exponent r+3,
              p >= 5.
+
+    Every left side is a scaled hyper_wz.sum_F partial sum.
     """
 
     VH_1_2 = "VH_1_2"
@@ -268,17 +270,6 @@ def verify_corollary(p: int, r: int, force: bool = False) -> VerificationReport:
     return _verdict("corollary", ident, required, observed, _ms(t0))
 
 
-def _quartic_sum(alpha: Rational, upper: int, slope: Rational, intercept: Rational) -> Rational:
-    """Sum of (slope*k + intercept) * ((alpha)_k/(1)_k)^4 for k = 0..upper."""
-    total = Fraction(0)
-    ratio = Fraction(1)
-    for k in range(upper + 1):
-        if k:
-            ratio *= Fraction(alpha + k - 1, k) ** 4
-        total += (slope * k + intercept) * ratio
-    return total
-
-
 def verify_family(
     family: Family | str,
     p: int,
@@ -311,7 +302,7 @@ def verify_family(
             return _skipped(claim_id, ident, f"p={p} is not 1 mod 4", _ms(t0))
         if r != 1:
             return _skipped(claim_id, ident, f"r={r} is not 1", _ms(t0))
-        lhs = _quartic_sum(QUARTER, (p - 1) // 4, Fraction(8), Fraction(1))
+        lhs = 4 * sum_F(QUARTER, (p + 3) // 4, QUARTER)
         rhs_res = p * gamma_quotient([HALF, QUARTER], [Fraction(3, 4)], p, 3) % p**3
         return _verdict(claim_id, ident, 3, _residue_gap_valuation(lhs, rhs_res, p, 3), _ms(t0))
 
@@ -320,7 +311,7 @@ def verify_family(
             return _skipped(claim_id, ident, f"p={p} is not 3 mod 4", _ms(t0))
         if r != 1:
             return _skipped(claim_id, ident, f"r={r} is not 1", _ms(t0))
-        lhs = _quartic_sum(QUARTER, (3 * p - 1) // 4, Fraction(8), Fraction(1))
+        lhs = 4 * sum_F(QUARTER, (3 * p + 3) // 4, QUARTER)
         gammas = gamma_quotient([HALF, QUARTER], [Fraction(3, 4)], p, 4)
         rhs_res = residue(Fraction(-3, 2) * p * p, p, 4) * gammas % p**4
         return _verdict(claim_id, ident, 4, _residue_gap_valuation(lhs, rhs_res, p, 4), _ms(t0))
@@ -338,7 +329,7 @@ def verify_family(
             return _skipped(
                 claim_id, ident, f"residue of -alpha is {res}, below (p+1)/2", _ms(t0)
             )
-        lhs = _quartic_sum(alpha, p - 1, 2 / alpha, Fraction(1))
+        lhs = sum_F(alpha, p, alpha) / alpha
         astar = dash(alpha, p)
         gammas = gamma_quotient([1 - 2 * alpha], [1 + alpha] + [1 - alpha] * 3, p, 4)
         rhs_res = residue(p * p * astar * (2 * astar - 1), p, 4) * gammas % p**4
@@ -355,7 +346,7 @@ def verify_family(
     if p < 5:
         return _skipped(claim_id, ident, f"p={p} is below 5", _ms(t0))
     _guard(p**r, force)
-    lhs = _quartic_sum(HALF, p**r - 1, Fraction(4), Fraction(1))
+    lhs = 2 * sum_F(HALF, p**r)
     return _verdict(claim_id, ident, r + 3, valuation(lhs - p**r, p), _ms(t0))
 
 

@@ -2,12 +2,13 @@
 
 Everything downstream (dash iterates, Gamma_p, hypergeometric sums) reduces to the
 three operations here: valuation, residue, mod_inverse. A congruence a = b (mod p^m)
-is the bound valuation(a - b, p) >= m. All values are fractions.Fraction; there is
-no floating point anywhere in this package.
+is the bound valuation(a - b, p) >= m. All values are fractions.Fraction, and
+valuations are ints, or math.inf (INFINITE) for zero; no other float appears.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Rational = Fraction
@@ -25,55 +26,9 @@ class NonInvertibleError(ValueError):
     """gcd(n, modulus) != 1, no modular inverse exists."""
 
 
-class _Infinite:
-    """The valuation of zero. Compares greater than every integer, equal to itself."""
+INFINITE = math.inf
 
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Infinite)
-
-    def __ne__(self, other: object) -> bool:
-        return not isinstance(other, _Infinite)
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (int, _Infinite)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, (int, _Infinite)):
-            return isinstance(other, _Infinite)
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (int, _Infinite)):
-            return not isinstance(other, _Infinite)
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (int, _Infinite)):
-            return True
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash("padic-valuation-infinite")
-
-    def __repr__(self) -> str:
-        return "INFINITE"
-
-    def __reduce__(self):
-        # unpickle to the module singleton so identity checks survive process pools
-        return (_infinite_instance, ())
-
-
-def _infinite_instance() -> _Infinite:
-    return INFINITE
-
-
-INFINITE = _Infinite()
-
-Valuation = int | _Infinite
+Valuation = int | float
 
 
 def is_prime(n: int) -> bool:

@@ -4,20 +4,20 @@ F(x, k) = (2k + x) (x)_k^3 (1/2)_k / ((1)_k^3 (1/2 + x)_k)
 G(x, k) = k^3 (k + 2x) / x^3 * (x)_k^3 (1/2)_k / ((1)_k^3 (1/2 + x)_k)
 
 F and G satisfy F(x+1, k) - F(x, k) = G(x, k+1) - G(x, k) exactly, which lets a
-shifted sum of F telescope into a boundary sum of G. All sums are computed as
-exact rationals; individual summands are allowed to be non p-adic integers.
+shifted sum of F telescope into a boundary sum of G. F is the d = 1/2 case of
+the very-well-poised 5F4 summand that sum_F sums for any d. All sums are computed
+as exact rationals; individual summands are allowed to be non p-adic integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_core import Rational
 
 
 class PochhammerPoleError(ValueError):
-    """The (1/2 + x)_k denominator vanishes, or G is evaluated at x = 0."""
+    """A denominator (1/2 + x)_k, or (1 + x - d)_k in sum_F, vanishes, or G is taken at x = 0."""
 
 
 def half_pole_index(x: Rational) -> int | None:
@@ -28,33 +28,13 @@ def half_pole_index(x: Rational) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class WZTermSpec:
-    """An admissible (x, k) for the pair: k >= 0 and (1/2 + x)_k free of zeros."""
-
-    x: Rational
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"k must be nonnegative, got {self.k}")
-        j = half_pole_index(self.x)
-        if j is not None and j < self.k:
-            raise PochhammerPoleError(f"(1/2 + {self.x})_{self.k} has a zero factor at j = {j}")
-
-
-@dataclass(frozen=True)
-class HarmonicSpec:
-    """Index and order of a generalized harmonic number; H_0 is the empty sum."""
-
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-        if self.m < 1:
-            raise ValueError(f"order must be positive, got {self.m}")
+def _check_term(x: Rational, k: int) -> None:
+    # an admissible (x, k) for the pair: k >= 0 and (1/2 + x)_k free of zeros
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    j = half_pole_index(x)
+    if j is not None and j < k:
+        raise PochhammerPoleError(f"(1/2 + {x})_{k} has a zero factor at j = {j}")
 
 
 def pochhammer(x: Rational, k: int) -> Rational:
@@ -70,8 +50,11 @@ def pochhammer(x: Rational, k: int) -> Rational:
 
 def harmonic(n: int, m: int) -> Rational:
     """H_n of order m: sum of 1/k^m for k = 1..n."""
-    spec = HarmonicSpec(n, m)
-    return sum((Fraction(1, k**spec.m) for k in range(1, spec.n + 1)), Fraction(0))
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if m < 1:
+        raise ValueError(f"order must be positive, got {m}")
+    return sum((Fraction(1, k**m) for k in range(1, n + 1)), Fraction(0))
 
 
 def _core(x: Rational, k: int) -> Rational:
@@ -83,18 +66,18 @@ def _core(x: Rational, k: int) -> Rational:
 
 def term_F(x: Rational, k: int) -> Rational:
     """F(x, k), exact."""
-    spec = WZTermSpec(x, k)
-    x = Fraction(spec.x)
-    return (2 * spec.k + x) * _core(x, spec.k)
+    _check_term(x, k)
+    x = Fraction(x)
+    return (2 * k + x) * _core(x, k)
 
 
 def term_G(x: Rational, k: int) -> Rational:
     """G(x, k), exact; G(x, 0) = 0."""
-    spec = WZTermSpec(x, k)
-    x = Fraction(spec.x)
+    _check_term(x, k)
+    x = Fraction(x)
     if x == 0:
         raise PochhammerPoleError("G has a pole at x = 0")
-    return Fraction(spec.k**3) * (spec.k + 2 * x) / x**3 * _core(x, spec.k)
+    return Fraction(k**3) * (k + 2 * x) / x**3 * _core(x, k)
 
 
 def wz_residual(x: Rational, k: int) -> Rational:
@@ -103,21 +86,25 @@ def wz_residual(x: Rational, k: int) -> Rational:
     return term_F(x + 1, k) - term_F(x, k) - term_G(x, k + 1) + term_G(x, k)
 
 
-def sum_F(x: Rational, N: int) -> Rational:
-    """Sum of F(x, k) for k = 0..N-1, computed incrementally in O(N) products."""
+def sum_F(x: Rational, N: int, d: Rational = Fraction(1, 2)) -> Rational:
+    """Whipple's very-well-poised 5F4 partial sum, computed incrementally in O(N) products.
+
+    The sum over k = 0..N-1 of (2k + x) (x)_k^3 (d)_k / ((1)_k^3 (1 + x - d)_k).
+    At the default d = 1/2 the summand is F(x, k); at d = x it is
+    (2k + x) ((x)_k/(1)_k)^4, the summand of the VH, SW, PTW and C2 families.
+    """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    x = Fraction(x)
-    j = half_pole_index(x)
-    if j is not None and j < N - 1:
-        raise PochhammerPoleError(f"(1/2 + {x})_{N - 1} has a zero factor at j = {j}")
-    half = Fraction(1, 2)
+    x, d = Fraction(x), Fraction(d)
+    b = 1 + x - d
+    if b.denominator == 1 and 0 <= -b < N - 1:
+        raise PochhammerPoleError(f"(1 + {x} - {d})_{N - 1} has a zero factor at j = {-b}")
     core = Fraction(1)
     total = Fraction(0)
     for k in range(N):
         total += (2 * k + x) * core
         if k < N - 1:
-            core *= (x + k) ** 3 * (half + k) / ((1 + k) ** 3 * (half + x + k))
+            core *= (x + k) ** 3 * (d + k) / ((1 + k) ** 3 * (b + k))
     return total
 
 

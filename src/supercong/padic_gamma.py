@@ -100,13 +100,11 @@ def pochhammer_factorization(x: Rational, p: int, r: int, M: int) -> tuple[int, 
     dash iterate it was peeled from, which is what makes the identity exact
     (anchoring every ratio at x itself drifts by a unit factor once r > 1).
     Requires the r-th dash iterate of x to be a p-adic unit, otherwise the split
-    into p-power and unit would be wrong, and p^{r+M} under the precision cap.
+    into p-power and unit would be wrong, and p^M under the precision cap.
     """
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     _check_modulus(p, M)
-    if p**(r + M) > PRECISION_CAP:
-        raise PrecisionCapError(f"p^(r+M) = {p**(r+M)} exceeds the cap {PRECISION_CAP}")
     x = Fraction(x)
     if x.denominator % p == 0:
         raise PadicDenominatorError(f"{x} is not a p-adic integer for p = {p}")

@@ -238,6 +238,9 @@ GOLDEN_STREAMS = {
                 "d701e66208586e9628b184e0397452323b674cd701e15556196c27ae453803fb"),
     "batch-lemmas": (["batch", "--lemmas", "--parallel", "1", "--format", "json"], 0,
                      "4c25f51fb56979f07152fe35c4122da3e318ec82aabc116b5c4fa37d3f1245b7"),
+    # infinite observations pickled back from worker processes
+    "batch-lemmas-parallel-2": (["batch", "--lemmas", "--parallel", "2", "--format", "json"], 0,
+                                "4c25f51fb56979f07152fe35c4122da3e318ec82aabc116b5c4fa37d3f1245b7"),
     "family-VH_1_2": (["verify", "family", "--name", "VH_1_2", "--p", "13", "--r", "1"], 0,
                       "ee86d346b47aebc2fd09a93ecfa30d296308d9adfb097cc235481f637fe69324"),
     "family-SW_1_3": (["verify", "family", "--name", "SW_1_3", "--p", "7", "--r", "1"], 0,

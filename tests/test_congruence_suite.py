@@ -220,6 +220,13 @@ def test_pochhammer_unit_nonunit_iterate_path():
         assert rep.passed is True
 
 
+def test_pochhammer_unit_beyond_p_to_the_r_plus_m():
+    # (1/4)_{37^2} needs Gamma_p only mod 37^2, although 37^(2+2) exceeds the cap
+    rep = verify_lemma(LemmaCheck.POCHHAMMER_UNIT, DashParams(1, 4, 1), 37, 2)
+    assert rep.passed is True
+    assert rep.observed_valuation == rep.required_exponent == 40
+
+
 def test_lemma_skip_reasons():
     rep = verify_lemma(LemmaCheck.DASH_CLOSED_FORM, DashParams(1, 4, 3), 13, 1)
     assert rep.skipped_reason == "p=13 is not congruent to 3 mod 4"

@@ -58,7 +58,7 @@ def test_infinite_is_greater_than_every_integer():
 
 def test_infinite_survives_pickling():
     clone = pickle.loads(pickle.dumps(INFINITE))
-    assert clone is INFINITE
+    assert clone == INFINITE
 
 
 def test_residue_reference_values():

@@ -5,10 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from supercong import (
-    HarmonicSpec,
     PochhammerPoleError,
     Rational,
-    WZTermSpec,
     half_pole_index,
     harmonic,
     is_prime,
@@ -74,8 +72,8 @@ def test_pole_handling():
     with pytest.raises(PochhammerPoleError):
         term_G(Rational(0), 1)
     with pytest.raises(PochhammerPoleError):
-        WZTermSpec(Rational(-3, 2), 2)
-    WZTermSpec(Rational(-3, 2), 1)  # pole at j = 1 is outside (1/2+x)_1
+        term_F(Rational(-3, 2), 2)
+    term_F(Rational(-3, 2), 1)  # pole at j = 1 is outside (1/2+x)_1
     with pytest.raises(PochhammerPoleError):
         sum_F(Rational(-5, 2), 4)
     sum_F(Rational(-5, 2), 3)  # k stays below the pole index
@@ -102,8 +100,20 @@ def test_sum_f_matches_term_sum():
 
 
 def test_kernel_scalings_are_the_family_summands():
-    # 4 F(1/4, k) is the corollary and GZ_1_5 summand, 2 F(1/2, k) the C2_1_9 summand
+    # 4 F(1/4, k) is the corollary and GZ_1_5 summand, 2 F(1/2, k) the C2_1_9 summand,
+    # 4 (sum_F at d = x = 1/4) the VH/SW summand, (sum_F at d = x = alpha)/alpha the PTW one
     quarter, half, one = Rational(1, 4), Rational(1, 2), Rational(1)
+
+    def quartic_sum(alpha, upper, slope, intercept):
+        # the hand-written family loop, kept as the reference: the sum of
+        # (slope*k + intercept) ((alpha)_k/(1)_k)^4 for k = 0..upper
+        total = Rational(0)
+        ratio = Rational(1)
+        for k in range(upper + 1):
+            if k:
+                ratio *= Rational(alpha + k - 1, k) ** 4
+            total += (slope * k + intercept) * ratio
+        return total
 
     def gz(k):
         num = (8 * k + 1) * pochhammer(quarter, k) ** 3 * pochhammer(half, k)
@@ -112,12 +122,31 @@ def test_kernel_scalings_are_the_family_summands():
     def c2(k):
         return (4 * k + 1) * (pochhammer(half, k) / pochhammer(one, k)) ** 4
 
+    def vh(k):
+        return (8 * k + 1) * (pochhammer(quarter, k) / pochhammer(one, k)) ** 4
+
+    def ptw(alpha, k):
+        return (2 * k + alpha) / alpha * (pochhammer(alpha, k) / pochhammer(one, k)) ** 4
+
+    alphas = (Rational(2, 3), Rational(3, 5), Rational(-7, 4))
     for k in range(30):
         assert 4 * term_F(quarter, k) == gz(k)
         assert 2 * term_F(half, k) == c2(k)
     for n in (1, 5, 30):
         assert 4 * sum_F(quarter, n) == sum(gz(k) for k in range(n))
         assert 2 * sum_F(half, n) == sum(c2(k) for k in range(n))
+        assert 4 * sum_F(quarter, n, quarter) == sum(vh(k) for k in range(n))
+        for alpha in alphas:
+            assert sum_F(alpha, n, alpha) / alpha == sum(ptw(alpha, k) for k in range(n))
+    # the four family call sites against the reference loop
+    for p in (5, 13, 29, 97):
+        assert 4 * sum_F(quarter, (p + 3) // 4, quarter) == quartic_sum(quarter, (p - 1) // 4, 8, 1)
+        assert 4 * sum_F(quarter, (3 * p + 3) // 4, quarter) == quartic_sum(
+            quarter, (3 * p - 1) // 4, 8, 1
+        )
+        assert 2 * sum_F(half, p) == quartic_sum(half, p - 1, 4, 1)
+        for alpha in alphas:
+            assert sum_F(alpha, p, alpha) / alpha == quartic_sum(alpha, p - 1, 2 / alpha, 1)
 
 
 def test_sum_g_boundary_reference_values():
@@ -162,6 +191,34 @@ def test_pochhammer_recurrence(x, n):
 @given(st.integers(min_value=0, max_value=120), st.integers(min_value=1, max_value=3))
 def test_harmonic_additivity(n, m):
     assert harmonic(n + 1, m) == harmonic(n, m) + Rational(1, (n + 1) ** m)
+
+
+def direct_sum(x, N, d):
+    return sum(
+        (2 * k + x) * pochhammer(x, k) ** 3 * pochhammer(d, k)
+        / (pochhammer(1, k) ** 3 * pochhammer(1 + x - d, k))
+        for k in range(N)
+    )
+
+
+@settings(max_examples=60)
+@given(rationals, st.integers(min_value=1, max_value=30), rationals)
+def test_sum_f_matches_direct_pochhammer_sum(x, N, d):
+    b = 1 + x - d
+    pole = b.denominator == 1 and 0 <= -b < N - 1
+    if pole:
+        with pytest.raises(PochhammerPoleError):
+            sum_F(x, N, d)
+    else:
+        assert sum_F(x, N, d) == direct_sum(x, N, d)
+
+
+@given(rationals, st.integers(min_value=2, max_value=30), st.data())
+def test_sum_f_rejects_every_zero_factor(x, N, data):
+    # choose d so that 1 + x - d + j = 0 for some j < N - 1
+    j = data.draw(st.integers(min_value=0, max_value=N - 2))
+    with pytest.raises(PochhammerPoleError):
+        sum_F(x, N, 1 + x + j)
 
 
 @given(rationals, st.integers(min_value=0, max_value=12))

@@ -125,7 +125,7 @@ def test_factorization_preconditions():
     with pytest.raises(ValueError):
         pochhammer_factorization(Rational(1, 6), 5, 1, 2)
     with pytest.raises(PrecisionCapError):
-        pochhammer_factorization(Rational(1, 2), 11, 4, 2)  # 11^6 > cap
+        pochhammer_factorization(Rational(1, 2), 101, 1, 3)  # 101^3 > cap
     with pytest.raises(PadicDenominatorError):
         pochhammer_factorization(Rational(1, 5), 5, 1, 1)
 

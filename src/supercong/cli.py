@@ -2,15 +2,16 @@
 
 Exit code 0 when every non-skipped, non-informational claim passes, 1 when
 any fails, 2 on usage errors (bad flags, malformed rationals, violated
-operation contracts). Hypothesis violations are skipped reports and leave
-the exit code untouched.
+operation contracts), and otherwise 3 when a batch claim hit a capacity
+limit (term guard or Gamma_p precision cap) and became an error report. A
+single claim that hits a capacity limit is a usage error. Hypothesis
+violations are skipped reports and leave the exit code untouched.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -35,7 +36,6 @@ from .congruence_suite import (
 from .dwork import DashParams
 from .exact_core import INFINITE
 
-PARALLEL_ENV = "SUPERCONG_PARALLEL"
 FORMATS = ("json", "tsv", "text")
 
 
@@ -51,7 +51,9 @@ def _json_lines(reports: list[VerificationReport], include_timings: bool) -> str
     lines = []
     for rep in reports:
         obj: dict[str, object] = {"claim": rep.claim, "params": dict(rep.params)}
-        if rep.skipped_reason is not None:
+        if rep.error is not None:
+            obj["error"] = rep.error
+        elif rep.skipped_reason is not None:
             obj["skipped_reason"] = rep.skipped_reason
         else:
             obj["required_exponent"] = rep.required_exponent
@@ -78,6 +80,9 @@ def _tsv_lines(reports: list[VerificationReport], include_timings: bool) -> str:
         "skipped_reason",
         "informational",
     ]
+    errors = any(rep.error is not None for rep in reports)
+    if errors:
+        columns.append("error")
     if include_timings:
         columns.append("elapsed_ms")
     rows = ["\t".join(columns)]
@@ -91,6 +96,8 @@ def _tsv_lines(reports: list[VerificationReport], include_timings: bool) -> str:
             rep.skipped_reason or "-",
             "true" if rep.informational else "-",
         ]
+        if errors:
+            cells.append(rep.error or "-")
         if include_timings:
             cells.append(f"{rep.elapsed_ms:.3f}")
         rows.append("\t".join(cells))
@@ -99,11 +106,14 @@ def _tsv_lines(reports: list[VerificationReport], include_timings: bool) -> str:
 
 def _text_lines(reports: list[VerificationReport], include_timings: bool) -> str:
     lines = []
-    tallies = {"passed": 0, "failed": 0, "skipped": 0, "informational": 0}
+    tallies = {"passed": 0, "failed": 0, "skipped": 0, "informational": 0, "errors": 0}
     for rep in reports:
         suffix = f" [{rep.elapsed_ms:.1f} ms]" if include_timings else ""
         where = f"{rep.claim} ({_params_text(rep)})"
-        if rep.skipped_reason is not None:
+        if rep.error is not None:
+            tallies["errors"] += 1
+            lines.append(f"ERROR {where}: {rep.error}{suffix}")
+        elif rep.skipped_reason is not None:
             tallies["skipped"] += 1
             lines.append(f"SKIP {where}: {rep.skipped_reason}{suffix}")
         elif rep.informational:
@@ -124,6 +134,8 @@ def _text_lines(reports: list[VerificationReport], include_timings: bool) -> str
                 f"FAIL {where}: v={_format_valuation(rep.observed_valuation)}"
                 f" < {rep.required_exponent}{suffix}"
             )
+    if not tallies["errors"]:
+        del tallies["errors"]
     summary = ", ".join(f"{count} {label}" for label, count in tallies.items())
     return "\n".join(lines) + "\n" + summary + "\n"
 
@@ -137,8 +149,9 @@ def emit_report(
 
     JSON is one object per line; absent fields are omitted, and an infinite
     observation serializes as the string "inf". TSV mirrors the same columns
-    with "-" for absent values. Timings are included only on request so that
-    identical runs emit identical bytes.
+    with "-" for absent values, plus an error column when a report is an
+    error. Timings are included only on request so that identical runs emit
+    identical bytes.
     """
     if not reports:
         raise ValueError("no reports to emit")
@@ -230,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_p_r(probe)
 
     batch = commands.add_parser("batch", parents=[output, forceable])
-    batch.add_argument("--parallel", type=int, default=None, help="worker processes")
+    batch.add_argument("--parallel", type=int, default=1, help="worker processes")
     batch.add_argument("--lemmas", action="store_true", help="include the lemma checks")
     batch.add_argument("--count", type=int, default=2, help="admissible primes per row")
     batch.add_argument("--r-values", type=_r_values, default=(1, 2))
@@ -238,18 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--p-max", type=int, default=2_000)
 
     return parser
-
-
-def _resolve_parallelism(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get(PARALLEL_ENV)
-    if env is None:
-        return 1
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ValueError(f"{PARALLEL_ENV} must be an integer, got {env!r}") from exc
 
 
 def _execute(args: argparse.Namespace) -> list[VerificationReport]:
@@ -274,8 +275,7 @@ def _execute(args: argparse.Namespace) -> list[VerificationReport]:
         return [probe_conjecture_7_1(args.p, args.r, force=args.force)]
 
     # batch
-    parallelism = _resolve_parallelism(args.parallel)
-    if parallelism < 1:
+    if args.parallel < 1:
         raise ValueError("parallelism must be at least 1")
     if any(r < 1 for r in args.r_values):
         raise ValueError("r values must be positive")
@@ -284,9 +284,9 @@ def _execute(args: argparse.Namespace) -> list[VerificationReport]:
     tasks = theorem_grid(
         r_values=args.r_values, count=args.count, p_min=args.p_min, p_max=args.p_max
     )
-    reports = run_theorem_batch(tasks, parallelism, force=args.force)
+    reports = run_theorem_batch(tasks, args.parallel, force=args.force)
     if args.lemmas:
-        reports += run_lemma_batch(tasks, parallelism, force=args.force)
+        reports += run_lemma_batch(tasks, args.parallel, force=args.force)
     return reports
 
 
@@ -308,7 +308,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     sys.stdout.buffer.write(stream)
     sys.stdout.buffer.flush()
-    return 1 if any(rep.passed is False for rep in reports) else 0
+    if any(rep.passed is False for rep in reports):
+        return 1
+    return 3 if any(rep.error is not None for rep in reports) else 0
 
 
 def main() -> None:

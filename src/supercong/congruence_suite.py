@@ -5,17 +5,21 @@ measures v_p(lhs - rhs) and compares it with the exponent the claim
 requires. Violated hypotheses yield skipped reports with a reason, so a
 grid run can tell "out of hypothesis" from "counterexample". Identity
 claims (exact equalities rather than congruences) report INFINITE when
-the identity holds and 0 when it does not.
+the identity holds and 0 when it does not. Every claim at a prime p and
+power r runs through one driver, `_verify`, which times it, applies its
+hypotheses and the term guard, and builds its report.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .dwork import (
     DashParams,
@@ -42,7 +46,7 @@ from .hyper_wz import (
     sum_G_boundary,
     wz_residual,
 )
-from .padic_gamma import gamma_quotient, pochhammer_factorization
+from .padic_gamma import PrecisionCapError, gamma_quotient, pochhammer_factorization
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -108,7 +112,8 @@ class VerificationReport:
     only a reason. An informational report carries an observation but no
     verdict. For claims of exact equality the observation is INFINITE when
     the identity holds and 0 when it fails; an accidental high valuation of a
-    wrong value is never reported as partial success.
+    wrong value is never reported as partial success. An error report carries
+    only the capacity error that stopped its claim in a batch.
     """
 
     claim: str
@@ -119,9 +124,14 @@ class VerificationReport:
     skipped_reason: str | None = None
     informational: bool = False
     elapsed_ms: float = 0.0
+    error: str | None = None
 
     def __post_init__(self) -> None:
-        if self.skipped_reason is not None:
+        if self.error is not None:
+            fields = (self.required_exponent, self.observed_valuation, self.passed)
+            if fields != (None, None, None) or self.skipped_reason is not None:
+                raise ValueError("an error report carries only its message")
+        elif self.skipped_reason is not None:
             if self.passed is not None or self.observed_valuation is not None:
                 raise ValueError("a skipped report carries no verdict")
         elif self.informational:
@@ -161,14 +171,6 @@ def _verdict(
     )
 
 
-def _skipped(claim: str, params: ParamItems, reason: str, elapsed_ms: float) -> VerificationReport:
-    return VerificationReport(claim, params, None, None, None, reason, False, elapsed_ms)
-
-
-def _vmin(a: Valuation, b: Valuation) -> Valuation:
-    return a if a <= b else b
-
-
 def _as_int(q: Rational, what: str) -> int:
     q = Fraction(q)
     if q.denominator != 1:
@@ -176,22 +178,48 @@ def _as_int(q: Rational, what: str) -> int:
     return q.numerator
 
 
-def _check_p_r(p: int, r: int) -> None:
+def _verify(
+    claim: str,
+    ident: ParamItems,
+    p: int,
+    r: int,
+    force: bool,
+    skip: Callable[[], str | None],
+    observe: Callable[[], tuple[int, Valuation]],
+    informational: bool = False,
+) -> VerificationReport:
+    """Run one claim at (p, r) and build its report.
+
+    A reason from skip() makes a skipped report. Otherwise the p^r-term guard
+    applies unless forced, and observe() returns (required, observed). A
+    capacity error is re-raised with the claim's error report attached as
+    `report`, so that a batch can keep it and go on.
+    """
+    t0 = time.perf_counter()
     if not is_prime(p):
         raise PrimeRequiredError(f"p must be prime, got {p}")
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
+    reason = skip()
+    if reason is not None:
+        return VerificationReport(claim, ident, skipped_reason=reason, elapsed_ms=_ms(t0))
+    try:
+        if p**r > TERM_GUARD and not force:
+            raise ResourceGuardError(
+                f"{p**r} terms exceeds the {TERM_GUARD}-term guard; set force to override"
+            )
+        required, observed = observe()
+    except (ResourceGuardError, PrecisionCapError) as exc:
+        exc.report = VerificationReport(claim, ident, error=f"{type(exc).__name__}: {exc}")
+        raise
+    passed = None if informational else observed >= required
+    return VerificationReport(
+        claim, ident, required, observed, passed, None, informational, _ms(t0)
+    )
 
 
-def _guard(terms: int, force: bool) -> None:
-    if terms > TERM_GUARD and not force:
-        raise ResourceGuardError(
-            f"{terms} terms exceeds the {TERM_GUARD}-term guard; set force to override"
-        )
-
-
-def _param_items(params: DashParams) -> ParamItems:
-    return (("c", params.c), ("d", params.d), ("s", params.s))
+def _dash_ident(params: DashParams, p: int, r: int) -> ParamItems:
+    return (("c", params.c), ("d", params.d), ("s", params.s), ("p", p), ("r", r))
 
 
 def _residue_gap_valuation(lhs: Rational, rhs_residue: int, p: int, m: int) -> Valuation:
@@ -202,12 +230,29 @@ def _residue_gap_valuation(lhs: Rational, rhs_residue: int, p: int, m: int) -> V
     return valuation(Fraction(gap), p)
 
 
-def _theorem_skip_reason(params: DashParams, p: int, r: int) -> str | None:
-    """The first violated hypothesis of the main claim, or None."""
-    if p < 5:
-        return f"p={p} is below 5"
+def _below_five(params: DashParams, p: int, r: int) -> str | None:
+    return f"p={p} is below 5" if p < 5 else None
+
+
+def _outside_dash_class(params: DashParams, p: int, r: int) -> str | None:
+    if p == 2:
+        return "p=2 is even"
     if p % params.d != params.s:
         return f"p={p} is not congruent to {params.s} mod {params.d}"
+    return None
+
+
+def _not_padic_integer(params: DashParams, p: int, r: int) -> str | None:
+    if p == 2:
+        return "p=2 is even"
+    return "alpha is not a p-adic integer" if params.d % p == 0 else None
+
+
+def _theorem_skip_reason(params: DashParams, p: int, r: int) -> str | None:
+    """The first violated hypothesis of the main claim, or None."""
+    reason = _below_five(params, p, r) or _outside_dash_class(params, p, r)
+    if reason is not None:
+        return reason
     reasons = []
     if residue(dash_iter(HALF + params.alpha, p, r), p, 1) == 0:
         reasons.append(f"(1/2+alpha)^(*{r}) = 0 mod p")
@@ -218,6 +263,15 @@ def _theorem_skip_reason(params: DashParams, p: int, r: int) -> str | None:
     return None
 
 
+def _observe_theorem(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
+    alpha = params.alpha
+    asr = dash_iter(alpha, p, r)
+    n_h = _as_int(asr * p - dash_iter(alpha, p, r - 1), "harmonic length")
+    lhs = sum_F(alpha, p**r)
+    rhs = asr * p**r - asr**3 / dash_iter(HALF + alpha, p, r) * p ** (r + 2) * harmonic(n_h, 2)
+    return r + 3, valuation(lhs - rhs, p)
+
+
 def verify_theorem(params: DashParams, p: int, r: int, force: bool = False) -> VerificationReport:
     """Check the central congruence for alpha = c/d at (p, r).
 
@@ -225,19 +279,9 @@ def verify_theorem(params: DashParams, p: int, r: int, force: bool = False) -> V
     a p^r - a^3/(1/2+alpha)^(*r) * p^(r+2) * H^(2)_n with a = alpha^(*r)
     and n = alpha^(*r) p - alpha^(*(r-1)). Required exponent r + 3.
     """
-    t0 = time.perf_counter()
-    _check_p_r(p, r)
-    ident = _param_items(params) + (("p", p), ("r", r))
-    reason = _theorem_skip_reason(params, p, r)
-    if reason is not None:
-        return _skipped("theorem", ident, reason, _ms(t0))
-    _guard(p**r, force)
-    alpha = params.alpha
-    asr = dash_iter(alpha, p, r)
-    n_h = _as_int(asr * p - dash_iter(alpha, p, r - 1), "harmonic length")
-    lhs = sum_F(alpha, p**r)
-    rhs = asr * p**r - asr**3 / dash_iter(HALF + alpha, p, r) * p ** (r + 2) * harmonic(n_h, 2)
-    return _verdict("theorem", ident, r + 3, valuation(lhs - rhs, p), _ms(t0))
+    skip = partial(_theorem_skip_reason, params, p, r)
+    observe = partial(_observe_theorem, params, p, r)
+    return _verify("theorem", _dash_ident(params, p, r), p, r, force, skip, observe)
 
 
 def verify_corollary(p: int, r: int, force: bool = False) -> VerificationReport:
@@ -249,25 +293,65 @@ def verify_corollary(p: int, r: int, force: bool = False) -> VerificationReport:
     the full exponent and the harmonic term vanishes to the full exponent;
     the reported observation is the smaller of the two valuations.
     """
-    t0 = time.perf_counter()
-    _check_p_r(p, r)
-    ident = (("p", p), ("r", r))
-    if p % 4 != 3:
-        return _skipped("corollary", ident, f"p={p} is not 3 mod 4", _ms(t0))
-    if r % 2 == 0:
-        return _skipped("corollary", ident, f"r={r} is even", _ms(t0))
-    _guard(p**r, force)
-    lhs = 4 * sum_F(QUARTER, p**r)
-    h_term = Fraction(27, 4) * p ** (3 * r) * harmonic((p**r - 3) // 4, 2)
-    required = r + 3
-    if p == 3:
-        observed = _vmin(
-            valuation(lhs - 3 ** (r + 1), 3),
-            valuation(h_term, 3),
-        )
-    else:
-        observed = valuation(lhs - 3 * p**r - h_term, p)
-    return _verdict("corollary", ident, required, observed, _ms(t0))
+
+    def skip() -> str | None:
+        if p % 4 != 3:
+            return f"p={p} is not 3 mod 4"
+        return f"r={r} is even" if r % 2 == 0 else None
+
+    def observe() -> tuple[int, Valuation]:
+        lhs = 4 * sum_F(QUARTER, p**r)
+        h_term = Fraction(27, 4) * p ** (3 * r) * harmonic((p**r - 3) // 4, 2)
+        if p == 3:
+            return r + 3, min(valuation(lhs - 3 ** (r + 1), 3), valuation(h_term, 3))
+        return r + 3, valuation(lhs - 3 * p**r - h_term, p)
+
+    return _verify("corollary", (("p", p), ("r", r)), p, r, force, skip, observe)
+
+
+def _family_skip_reason(fam: Family, p: int, r: int, alpha: Fraction | None) -> str | None:
+    if fam in (Family.VH_1_2, Family.GZ_1_5) and p % 4 != 1:
+        return f"p={p} is not 1 mod 4"
+    if fam is Family.SW_1_3 and p % 4 != 3:
+        return f"p={p} is not 3 mod 4"
+    if fam is Family.PTW_1_4 and p == 2:
+        return "p=2 is even"
+    if fam is Family.C2_1_9 and p < 5:
+        return f"p={p} is below 5"
+    if fam in (Family.VH_1_2, Family.SW_1_3, Family.PTW_1_4) and r != 1:
+        return f"r={r} is not 1"
+    if fam is not Family.PTW_1_4:
+        return None
+    if valuation(alpha, p) < 0:
+        return "alpha is not a p-adic integer"
+    res = residue(-alpha, p, 1)
+    return f"residue of -alpha is {res}, below (p+1)/2" if res < (p + 1) // 2 else None
+
+
+def _gz_gap_valuation(p: int, r: int) -> Valuation:
+    """v_p of the GZ_1_5 sum minus p^r."""
+    return valuation(4 * sum_F(QUARTER, (p**r - 1) // 2 + 1) - p**r, p)
+
+
+def _observe_family(fam: Family, p: int, r: int, alpha: Fraction | None) -> tuple[int, Valuation]:
+    if fam is Family.VH_1_2:
+        lhs = 4 * sum_F(QUARTER, (p + 3) // 4, QUARTER)
+        rhs_res = p * gamma_quotient([HALF, QUARTER], [Fraction(3, 4)], p, 3) % p**3
+        return 3, _residue_gap_valuation(lhs, rhs_res, p, 3)
+    if fam is Family.SW_1_3:
+        lhs = 4 * sum_F(QUARTER, (3 * p + 3) // 4, QUARTER)
+        gammas = gamma_quotient([HALF, QUARTER], [Fraction(3, 4)], p, 4)
+        rhs_res = residue(Fraction(-3, 2) * p * p, p, 4) * gammas % p**4
+        return 4, _residue_gap_valuation(lhs, rhs_res, p, 4)
+    if fam is Family.PTW_1_4:
+        lhs = sum_F(alpha, p, alpha) / alpha
+        astar = dash(alpha, p)
+        gammas = gamma_quotient([1 - 2 * alpha], [1 + alpha] + [1 - alpha] * 3, p, 4)
+        rhs_res = residue(p * p * astar * (2 * astar - 1), p, 4) * gammas % p**4
+        return 4, _residue_gap_valuation(lhs, rhs_res, p, 4)
+    if fam is Family.GZ_1_5:
+        return r + 3, _gz_gap_valuation(p, r)
+    return r + 3, valuation(2 * sum_F(HALF, p**r) - p**r, p)
 
 
 def verify_family(
@@ -283,12 +367,8 @@ def verify_family(
     precision, so their observed valuation is capped at the required exponent.
     The power-of-p families are exact and may observe more.
     """
-    t0 = time.perf_counter()
     fam = Family(family)
-    _check_p_r(p, r)
     ident: ParamItems = (("family", fam.value), ("p", p), ("r", r))
-    claim_id = f"family.{fam.value}"
-
     if fam is Family.PTW_1_4:
         if alpha is None:
             raise ValueError("PTW_1_4 requires alpha")
@@ -296,92 +376,9 @@ def verify_family(
         ident += (("alpha", str(alpha)),)
     elif alpha is not None:
         raise ValueError(f"{fam.value} takes no alpha")
-
-    if fam is Family.VH_1_2:
-        if p % 4 != 1:
-            return _skipped(claim_id, ident, f"p={p} is not 1 mod 4", _ms(t0))
-        if r != 1:
-            return _skipped(claim_id, ident, f"r={r} is not 1", _ms(t0))
-        lhs = 4 * sum_F(QUARTER, (p + 3) // 4, QUARTER)
-        rhs_res = p * gamma_quotient([HALF, QUARTER], [Fraction(3, 4)], p, 3) % p**3
-        return _verdict(claim_id, ident, 3, _residue_gap_valuation(lhs, rhs_res, p, 3), _ms(t0))
-
-    if fam is Family.SW_1_3:
-        if p % 4 != 3:
-            return _skipped(claim_id, ident, f"p={p} is not 3 mod 4", _ms(t0))
-        if r != 1:
-            return _skipped(claim_id, ident, f"r={r} is not 1", _ms(t0))
-        lhs = 4 * sum_F(QUARTER, (3 * p + 3) // 4, QUARTER)
-        gammas = gamma_quotient([HALF, QUARTER], [Fraction(3, 4)], p, 4)
-        rhs_res = residue(Fraction(-3, 2) * p * p, p, 4) * gammas % p**4
-        return _verdict(claim_id, ident, 4, _residue_gap_valuation(lhs, rhs_res, p, 4), _ms(t0))
-
-    if fam is Family.PTW_1_4:
-        if p == 2:
-            return _skipped(claim_id, ident, "p=2 is even", _ms(t0))
-        if r != 1:
-            return _skipped(claim_id, ident, f"r={r} is not 1", _ms(t0))
-        if valuation(alpha, p) < 0:
-            return _skipped(claim_id, ident, "alpha is not a p-adic integer", _ms(t0))
-        bound = (p + 1) // 2
-        res = residue(-alpha, p, 1)
-        if res < bound:
-            return _skipped(
-                claim_id, ident, f"residue of -alpha is {res}, below (p+1)/2", _ms(t0)
-            )
-        lhs = sum_F(alpha, p, alpha) / alpha
-        astar = dash(alpha, p)
-        gammas = gamma_quotient([1 - 2 * alpha], [1 + alpha] + [1 - alpha] * 3, p, 4)
-        rhs_res = residue(p * p * astar * (2 * astar - 1), p, 4) * gammas % p**4
-        return _verdict(claim_id, ident, 4, _residue_gap_valuation(lhs, rhs_res, p, 4), _ms(t0))
-
-    if fam is Family.GZ_1_5:
-        if p % 4 != 1:
-            return _skipped(claim_id, ident, f"p={p} is not 1 mod 4", _ms(t0))
-        _guard(p**r, force)
-        lhs = 4 * sum_F(QUARTER, (p**r - 1) // 2 + 1)
-        return _verdict(claim_id, ident, r + 3, valuation(lhs - p**r, p), _ms(t0))
-
-    # C2_1_9
-    if p < 5:
-        return _skipped(claim_id, ident, f"p={p} is below 5", _ms(t0))
-    _guard(p**r, force)
-    lhs = 2 * sum_F(HALF, p**r)
-    return _verdict(claim_id, ident, r + 3, valuation(lhs - p**r, p), _ms(t0))
-
-
-_DASH_HYP = frozenset(
-    {
-        LemmaCheck.DASH_CLOSED_FORM,
-        LemmaCheck.DASH_ITERATES,
-        LemmaCheck.DASH_PERIOD,
-        LemmaCheck.DASH_LEAST_RESIDUE,
-    }
-)
-_THEOREM_HYP = frozenset(
-    {
-        LemmaCheck.DASH_MAX_MULTIPLE,
-        LemmaCheck.HALF_SHIFT_RATIO,
-        LemmaCheck.HARMONIC_SHIFT,
-        LemmaCheck.SUM_F_DASH_POINT,
-        LemmaCheck.SUM_G_WINDOW,
-    }
-)
-_HARMONIC_HYP = frozenset({LemmaCheck.HARMONIC_SQUARE_SCALED, LemmaCheck.HARMONIC_PRIME})
-
-
-def _lemma_skip_reason(check: LemmaCheck, params: DashParams, p: int, r: int) -> str | None:
-    if check in _THEOREM_HYP:
-        return _theorem_skip_reason(params, p, r)
-    if check in _HARMONIC_HYP:
-        return f"p={p} is below 5" if p < 5 else None
-    if p == 2:
-        return "p=2 is even"
-    if check in _DASH_HYP and p % params.d != params.s:
-        return f"p={p} is not congruent to {params.s} mod {params.d}"
-    if check is LemmaCheck.POCHHAMMER_UNIT and params.d % p == 0:
-        return "alpha is not a p-adic integer"
-    return None
+    skip = partial(_family_skip_reason, fam, p, r, alpha)
+    observe = partial(_observe_family, fam, p, r, alpha)
+    return _verify(f"family.{fam.value}", ident, p, r, force, skip, observe)
 
 
 def _all_equal(pairs: list[tuple[Rational, Rational]]) -> Valuation:
@@ -432,23 +429,19 @@ def _check_dash_max_multiple(params: DashParams, p: int, r: int) -> tuple[int, V
 def _check_pochhammer_unit(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     """Split (alpha)_{p^r} into p-power times unit, checked at precision 2.
 
-    When the r-th dash iterate is a unit this exercises the packaged
-    factorization directly. When it is divisible by p the same identity is
-    checked with the iterate divided out, which keeps both sides units.
+    When the r-th dash iterate is a unit, (alpha)_{p^r} itself is compared
+    with p^E * unit. When it is divisible by p, E holds its p-power, and the
+    unit part of (alpha)_{p^r} is compared with the packaged unit.
     """
     alpha = params.alpha
-    iterates = dash_iterates(alpha, p, r)
-    asr = iterates.pop()
-    if residue(asr, p, 1) != 0:
-        exponent, unit = pochhammer_factorization(alpha, p, r, 2)
+    exponent, unit = pochhammer_factorization(alpha, p, r, 2)
+    if residue(dash_iter(alpha, p, r), p, 1) != 0:
         diff = pochhammer(alpha, p**r) - Fraction(unit) * p**exponent
         return exponent + 2, valuation(diff, p)
-    exponent = sum(p ** (j - 1) for j in range(1, r + 1))
-    scaled = pochhammer(alpha, p**r) / (Fraction((-1) ** r) * asr * p**exponent)
+    scaled = pochhammer(alpha, p**r) / p**exponent
     if valuation(scaled, p) != 0:
         return 2, 0
-    shifted = [y + p ** (r - i) for i, y in enumerate(iterates)]
-    return 2, _residue_gap_valuation(scaled, gamma_quotient(shifted, iterates, p, 2), p, 2)
+    return 2, _residue_gap_valuation(scaled, unit, p, 2)
 
 
 def _check_half_shift_ratio(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
@@ -462,14 +455,14 @@ def _check_half_shift_ratio(params: DashParams, p: int, r: int) -> tuple[int, Va
     ratio = Fraction(1)
     for l in range(a):
         expected = shifted if split and l >= a - (pr - 1) // 2 else Fraction(1)
-        worst = _vmin(worst, valuation(ratio - expected, p))
+        worst = min(worst, valuation(ratio - expected, p))
         ratio *= (HALF + alpha + l) / (HALF + alpha + pr + l)
     return 1, worst
 
 
 def _check_harmonic_square_scaled(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     scale = p ** (2 * r)
-    observed = _vmin(
+    observed = min(
         valuation(scale * harmonic(p**r - 1, 2), p),
         valuation(scale * harmonic((p**r - 1) // 2, 2), p),
     )
@@ -485,7 +478,7 @@ def _check_harmonic_shift(params: DashParams, p: int, r: int) -> tuple[int, Valu
     window = sum((1 / (alpha + l) ** 2 for l in range(a)), Fraction(0))
     v_shift = valuation(scale * window - p**2 * harmonic(n_h, 2), p)
     tail = sum((1 / (alpha + a - l) ** 2 for l in range(1, (p**r - 1) // 2 + 1)), Fraction(0))
-    return 3, _vmin(v_shift, valuation(scale * tail, p))
+    return 3, min(v_shift, valuation(scale * tail, p))
 
 
 def _check_sum_f_dash_point(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
@@ -504,26 +497,27 @@ def _check_sum_g_window(params: DashParams, p: int, r: int) -> tuple[int, Valuat
 
 
 def _check_harmonic_prime(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
-    observed = _vmin(
+    observed = min(
         valuation(harmonic(p - 1, 2), p),
         valuation(harmonic((p - 1) // 2, 2), p),
     )
     return 1, observed
 
 
+# check -> (skip reason, (required, observed)), both taking (params, p, r)
 _LEMMA_CHECKS = {
-    LemmaCheck.DASH_CLOSED_FORM: _check_dash_closed_form,
-    LemmaCheck.DASH_ITERATES: _check_dash_iterates,
-    LemmaCheck.DASH_PERIOD: _check_dash_period,
-    LemmaCheck.DASH_LEAST_RESIDUE: _check_dash_residue,
-    LemmaCheck.DASH_MAX_MULTIPLE: _check_dash_max_multiple,
-    LemmaCheck.POCHHAMMER_UNIT: _check_pochhammer_unit,
-    LemmaCheck.HALF_SHIFT_RATIO: _check_half_shift_ratio,
-    LemmaCheck.HARMONIC_SQUARE_SCALED: _check_harmonic_square_scaled,
-    LemmaCheck.HARMONIC_SHIFT: _check_harmonic_shift,
-    LemmaCheck.SUM_F_DASH_POINT: _check_sum_f_dash_point,
-    LemmaCheck.SUM_G_WINDOW: _check_sum_g_window,
-    LemmaCheck.HARMONIC_PRIME: _check_harmonic_prime,
+    LemmaCheck.DASH_CLOSED_FORM: (_outside_dash_class, _check_dash_closed_form),
+    LemmaCheck.DASH_ITERATES: (_outside_dash_class, _check_dash_iterates),
+    LemmaCheck.DASH_PERIOD: (_outside_dash_class, _check_dash_period),
+    LemmaCheck.DASH_LEAST_RESIDUE: (_outside_dash_class, _check_dash_residue),
+    LemmaCheck.DASH_MAX_MULTIPLE: (_theorem_skip_reason, _check_dash_max_multiple),
+    LemmaCheck.POCHHAMMER_UNIT: (_not_padic_integer, _check_pochhammer_unit),
+    LemmaCheck.HALF_SHIFT_RATIO: (_theorem_skip_reason, _check_half_shift_ratio),
+    LemmaCheck.HARMONIC_SQUARE_SCALED: (_below_five, _check_harmonic_square_scaled),
+    LemmaCheck.HARMONIC_SHIFT: (_theorem_skip_reason, _check_harmonic_shift),
+    LemmaCheck.SUM_F_DASH_POINT: (_theorem_skip_reason, _check_sum_f_dash_point),
+    LemmaCheck.SUM_G_WINDOW: (_theorem_skip_reason, _check_sum_g_window),
+    LemmaCheck.HARMONIC_PRIME: (_below_five, _check_harmonic_prime),
 }
 
 
@@ -540,17 +534,9 @@ def verify_lemma(
     DASH_MAX_MULTIPLE quantifies over j in [0, r-2] and so passes vacuously
     at r = 1.
     """
-    t0 = time.perf_counter()
     check = LemmaCheck(name)
-    _check_p_r(p, r)
-    claim_id = f"lemma.{check.value}"
-    ident = _param_items(params) + (("p", p), ("r", r))
-    reason = _lemma_skip_reason(check, params, p, r)
-    if reason is not None:
-        return _skipped(claim_id, ident, reason, _ms(t0))
-    _guard(p**r, force)
-    required, observed = _LEMMA_CHECKS[check](params, p, r)
-    return _verdict(claim_id, ident, required, observed, _ms(t0))
+    skip, observe = (partial(fn, params, p, r) for fn in _LEMMA_CHECKS[check])
+    return _verify(f"lemma.{check.value}", _dash_ident(params, p, r), p, r, force, skip, observe)
 
 
 def probe_conjecture_7_1(p: int, r: int, force: bool = False) -> VerificationReport:
@@ -560,18 +546,17 @@ def probe_conjecture_7_1(p: int, r: int, force: bool = False) -> VerificationRep
     p > 5. The report is informational: it records the observation against
     that target and never carries a verdict.
     """
-    t0 = time.perf_counter()
-    _check_p_r(p, r)
+
+    def skip() -> str | None:
+        if p <= 5:
+            return f"p={p} is not above 5"
+        return _family_skip_reason(Family.GZ_1_5, p, r, None)
+
+    def observe() -> tuple[int, Valuation]:
+        return r + 5, _gz_gap_valuation(p, r)
+
     ident: ParamItems = (("p", p), ("r", r))
-    claim_id = "conjecture-probe"
-    if p <= 5:
-        return _skipped(claim_id, ident, f"p={p} is not above 5", _ms(t0))
-    if p % 4 != 1:
-        return _skipped(claim_id, ident, f"p={p} is not 1 mod 4", _ms(t0))
-    _guard(p**r, force)
-    lhs = 4 * sum_F(QUARTER, (p**r - 1) // 2 + 1)
-    observed = valuation(lhs - p**r, p)
-    return VerificationReport(claim_id, ident, r + 5, observed, None, None, True, _ms(t0))
+    return _verify("conjecture-probe", ident, p, r, force, skip, observe, informational=True)
 
 
 def _row_sign(r: int) -> int:
@@ -716,22 +701,20 @@ def theorem_grid(
     return tasks
 
 
-def _theorem_task(task: tuple[DashParams, int, int, bool]) -> VerificationReport:
-    params, p, r, force = task
-    return verify_theorem(params, p, r, force=force)
+def _run_claim(task: Callable[[], VerificationReport]) -> VerificationReport:
+    """One batch task's report; a capacity error becomes the claim's error report."""
+    try:
+        return task()
+    except (ResourceGuardError, PrecisionCapError) as exc:
+        return exc.report
 
 
-def _lemma_task(task: tuple[LemmaCheck, DashParams, int, int, bool]) -> VerificationReport:
-    check, params, p, r, force = task
-    return verify_lemma(check, params, p, r, force=force)
-
-
-def _run_tasks(worker, tasks: list, parallelism: int) -> list[VerificationReport]:
+def _run_tasks(tasks: list[partial], parallelism: int) -> list[VerificationReport]:
     if parallelism <= 1:
-        return [worker(task) for task in tasks]
+        return canonical_sort([_run_claim(task) for task in tasks])
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         chunk = max(1, len(tasks) // (parallelism * 4))
-        return list(pool.map(worker, tasks, chunksize=chunk))
+        return canonical_sort(list(pool.map(_run_claim, tasks, chunksize=chunk)))
 
 
 def run_theorem_batch(
@@ -742,12 +725,12 @@ def run_theorem_batch(
     """Verify the central claim over a task grid, in canonical report order.
 
     Verification is pure, so the ordering (and hence the emitted stream) is
-    independent of the parallelism degree.
+    independent of the parallelism degree. A claim stopped by a capacity
+    error yields an error report; the other claims still report.
     """
     if tasks is None:
         tasks = theorem_grid()
-    jobs = [(params, p, r, force) for params, p, r in tasks]
-    return canonical_sort(_run_tasks(_theorem_task, jobs, parallelism))
+    return _run_tasks([partial(verify_theorem, *task, force) for task in tasks], parallelism)
 
 
 def run_lemma_batch(
@@ -755,13 +738,14 @@ def run_lemma_batch(
     parallelism: int = 1,
     force: bool = False,
 ) -> list[VerificationReport]:
-    """Verify every supporting check over a task grid, canonically ordered."""
+    """Verify every supporting check over a task grid, canonically ordered.
+
+    Capacity errors become error reports as in run_theorem_batch.
+    """
     if tasks is None:
         tasks = theorem_grid()
-    jobs = [
-        (check, params, p, r, force) for check in LemmaCheck for params, p, r in tasks
-    ]
-    return canonical_sort(_run_tasks(_lemma_task, jobs, parallelism))
+    jobs = [partial(verify_lemma, check, *task, force) for check in LemmaCheck for task in tasks]
+    return _run_tasks(jobs, parallelism)
 
 
 def wz_fuzz_cases(

@@ -92,15 +92,15 @@ def gamma_quotient(numer: Iterable[Rational], denom: Iterable[Rational], p: int,
 def pochhammer_factorization(x: Rational, p: int, r: int, M: int) -> tuple[int, int]:
     """Predicted p-power exponent and unit part of the rising factorial (x)_{p^r}.
 
-    Returns (E, unit) with E = sum of p^{j-1} for j = 1..r and
-    unit = (-1)^r * x^{*r} * prod_{j=1..r} Gamma_p(y_j + p^j)/Gamma_p(y_j)  (mod p^M)
-    where y_j = x^{*(r-j)}, so that (x)_{p^r} = p^E * unit up to p^M-precision in
-    the unit. Peeling the multiples of p out of (y)_{p^m} leaves (y*)_{p^(m-1)}
-    and a Gamma_p ratio based at y; unrolling that r times pins each ratio to the
-    dash iterate it was peeled from, which is what makes the identity exact
-    (anchoring every ratio at x itself drifts by a unit factor once r > 1).
-    Requires the r-th dash iterate of x to be a p-adic unit, otherwise the split
-    into p-power and unit would be wrong, and p^M under the precision cap.
+    Returns (E, unit) with E = v + sum of p^{j-1} for j = 1..r and
+    unit = (-1)^r * x^{*r}/p^v * prod_{j=1..r} Gamma_p(y_j + p^j)/Gamma_p(y_j)  (mod p^M)
+    where v = v_p(x^{*r}) and y_j = x^{*(r-j)}, so that (x)_{p^r} = p^E * unit
+    up to p^M-precision in the unit. Peeling the multiples of p out of (y)_{p^m}
+    leaves (y*)_{p^(m-1)} and a Gamma_p ratio based at y; unrolling that r times
+    pins each ratio to the dash iterate it was peeled from, which is what makes
+    the identity exact (anchoring every ratio at x itself drifts by a unit factor
+    once r > 1). A zero r-th dash iterate means (x)_{p^r} = 0, which has no
+    such split.
     """
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
@@ -110,9 +110,9 @@ def pochhammer_factorization(x: Rational, p: int, r: int, M: int) -> tuple[int, 
         raise PadicDenominatorError(f"{x} is not a p-adic integer for p = {p}")
     iterates = dash_iterates(x, p, r)
     xsr = iterates.pop()
-    if valuation(xsr, p) != 0:
-        raise ValueError(f"the r-th dash iterate {xsr} of {x} is not a p-adic unit")
+    if xsr == 0:
+        raise ValueError(f"the r-th dash iterate of {x} is 0, so (x)_(p^r) = 0")
+    v = valuation(xsr, p)
     shifted = [y + p ** (r - i) for i, y in enumerate(iterates)]
-    unit = residue(Fraction(-1) ** r * xsr, p, M) * gamma_quotient(shifted, iterates, p, M) % p**M
-    E = sum(p ** (j - 1) for j in range(1, r + 1))
-    return E, unit
+    unit = residue((-1) ** r * xsr / p**v, p, M) * gamma_quotient(shifted, iterates, p, M) % p**M
+    return v + sum(p ** (j - 1) for j in range(1, r + 1)), unit

@@ -115,7 +115,7 @@ def test_acceptance_06_wz_residual():
     """Pair identity residual is exactly zero on 200 seeded cases."""
     reports = run_wz_fuzz(200, DEFAULT_SEED)
     assert len(reports) == 200
-    assert all(rep.observed_valuation is INFINITE for rep in reports)
+    assert all(rep.observed_valuation == INFINITE for rep in reports)
     assert all(rep.passed is True for rep in reports)
     for x, k in wz_fuzz_cases(200, DEFAULT_SEED):
         assert 0 < abs(x.numerator) <= 1000 and x.denominator <= 1000
@@ -129,7 +129,7 @@ def test_acceptance_07_telescoping():
     """Windowed telescoping identity is exact on 50 seeded cases."""
     reports = run_telescope_fuzz(50, DEFAULT_SEED)
     assert len(reports) == 50
-    assert all(rep.observed_valuation is INFINITE for rep in reports)
+    assert all(rep.observed_valuation == INFINITE for rep in reports)
     assert all(rep.passed is True for rep in reports)
     for _, a, n in telescope_cases(50, DEFAULT_SEED):
         assert 1 <= a <= 12 and 1 <= n <= 60

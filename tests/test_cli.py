@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from supercong import cli
-from supercong.cli import PARALLEL_ENV, emit_report, run
+from supercong.cli import emit_report, run
 from supercong.congruence_suite import VerificationReport
 from supercong.exact_core import INFINITE
 
@@ -147,8 +147,27 @@ def test_emit_report_text_summary():
     assert lines[4] == "2 passed, 0 failed, 1 skipped, 1 informational"
 
 
-def test_run_config_validation(monkeypatch, capfdbinary):
-    monkeypatch.delenv(PARALLEL_ENV, raising=False)
+def test_emit_report_error_in_every_format():
+    error = VerificationReport("theorem", (("p", 31), ("r", 3)), error="ResourceGuardError: big")
+    reports = sample_reports() + [error]
+    objs = [json.loads(line) for line in emit_report(reports).decode().splitlines()]
+    assert objs[-1] == {"claim": "theorem", "params": {"p": 31, "r": 3},
+                        "error": "ResourceGuardError: big"}
+    assert all("error" not in obj for obj in objs[:-1])
+
+    tsv = emit_report(reports, "tsv").decode().splitlines()
+    assert tsv[0].split("\t")[-1] == "error"
+    assert tsv[-1].split("\t") == ["theorem", "p=31,r=3", "-", "-", "-", "-", "-",
+                                   "ResourceGuardError: big"]
+    assert tsv[-2].split("\t")[-1] == "-"
+    assert "error" not in emit_report(sample_reports(), "tsv").decode().splitlines()[0]
+
+    text = emit_report(reports, "text").decode().splitlines()
+    assert text[-2] == "ERROR theorem (p=31,r=3): ResourceGuardError: big"
+    assert text[-1] == "2 passed, 0 failed, 1 skipped, 1 informational, 1 errors"
+
+
+def test_run_config_validation(capfdbinary):
     for flags in (
         ["--parallel", "0"],
         ["--r-values", "1,0"],
@@ -162,23 +181,15 @@ def test_run_config_validation(monkeypatch, capfdbinary):
         assert err
 
 
-def test_parallelism_resolution(monkeypatch):
-    monkeypatch.delenv(PARALLEL_ENV, raising=False)
-    assert cli._resolve_parallelism(None) == 1
-    assert cli._resolve_parallelism(3) == 3
-    monkeypatch.setenv(PARALLEL_ENV, "4")
-    assert cli._resolve_parallelism(None) == 4
-    assert cli._resolve_parallelism(2) == 2  # flag wins
-    monkeypatch.setenv(PARALLEL_ENV, "soon")
-    with pytest.raises(ValueError):
-        cli._resolve_parallelism(None)
-
-
-def test_bad_parallel_env_exits_two(monkeypatch, capfdbinary):
-    monkeypatch.setenv(PARALLEL_ENV, "soon")
-    assert run(["batch"]) == 2
-    _, err = capfdbinary.readouterr()
-    assert PARALLEL_ENV.encode() in err
+def test_parallel_env_is_ignored(monkeypatch, capfdbinary):
+    # --parallel is the one way to set the worker count
+    assert run(["batch", "--count", "1"]) == 0
+    plain, _ = capfdbinary.readouterr()
+    monkeypatch.setenv("SUPERCONG_PARALLEL", "soon")
+    assert run(["batch", "--count", "1"]) == 0
+    out, err = capfdbinary.readouterr()
+    assert out == plain
+    assert err == b""
 
 
 def test_wz_fuzz_cli_is_deterministic(capfdbinary):
@@ -191,8 +202,7 @@ def test_wz_fuzz_cli_is_deterministic(capfdbinary):
     assert len(first.splitlines()) == 25
 
 
-def test_batch_bytes_independent_of_parallelism(monkeypatch, capfdbinary):
-    monkeypatch.delenv(PARALLEL_ENV, raising=False)
+def test_batch_bytes_independent_of_parallelism(capfdbinary):
     assert run(["batch"]) == 0
     serial, _ = capfdbinary.readouterr()
     assert run(["batch", "--parallel", "8"]) == 0
@@ -271,13 +281,23 @@ GOLDEN_STREAMS = {
     ),
     "probe": (["probe", "--p", "13", "--r", "1"], 0,
               "047eabef8b3bf56c65d42378c999d5d6c9d7c26b88ca8579f7136451837611d8"),
+    # 13 passes at r = 1 and 13 term-guard error reports at r = 3 (29^3 > 20 000)
+    "batch-capacity": (
+        ["batch", "--r-values", "1,3", "--count", "1", "--p-min", "29", "--p-max", "60",
+         "--parallel", "1"], 3,
+        "25e7de7dc08a77188f488d91d37f39d909c8cafb3a12b76933a06008256fec0b",
+    ),
+    "batch-capacity-parallel-2": (
+        ["batch", "--r-values", "1,3", "--count", "1", "--p-min", "29", "--p-max", "60",
+         "--parallel", "2"], 3,
+        "25e7de7dc08a77188f488d91d37f39d909c8cafb3a12b76933a06008256fec0b",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", GOLDEN_STREAMS)
-def test_golden_stream(name, monkeypatch, capfdbinary):
+def test_golden_stream(name, capfdbinary):
     argv, code, digest = GOLDEN_STREAMS[name]
-    monkeypatch.delenv(PARALLEL_ENV, raising=False)
     assert run(argv) == code
     out, _ = capfdbinary.readouterr()
     assert hashlib.sha256(out).hexdigest() == digest

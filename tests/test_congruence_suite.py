@@ -31,6 +31,7 @@ from supercong.congruence_suite import (
 from supercong.dwork import DashParams, dash_iter
 from supercong.exact_core import INFINITE, PrimeRequiredError, residue, valuation
 from supercong.hyper_wz import harmonic, half_pole_index, sum_F, sum_G_boundary
+from supercong.padic_gamma import PrecisionCapError
 
 HALF = Fraction(1, 2)
 
@@ -200,10 +201,10 @@ def test_dash_max_multiple_degenerate_case():
     """The claimed maximum can be 0 when no multiple of p falls in range."""
     rep = verify_lemma(LemmaCheck.DASH_MAX_MULTIPLE, DashParams(1, 6, 5), 5, 2)
     assert rep.passed is True
-    assert rep.observed_valuation is INFINITE
+    assert rep.observed_valuation == INFINITE
     # r = 1 leaves nothing to quantify over
     rep = verify_lemma(LemmaCheck.DASH_MAX_MULTIPLE, DashParams(1, 4, 3), 7, 1)
-    assert rep.observed_valuation is INFINITE
+    assert rep.observed_valuation == INFINITE
 
 
 def test_pochhammer_unit_nonunit_iterate_path():
@@ -259,7 +260,7 @@ def test_table_reproduction():
     assert len(reports) == 26
     assert all(rep.claim == "table1" for rep in reports)
     assert all(rep.passed for rep in reports)
-    assert all(rep.observed_valuation is INFINITE for rep in reports)
+    assert all(rep.observed_valuation == INFINITE for rep in reports)
 
 
 def test_claim_validation():
@@ -284,7 +285,7 @@ def test_claim_observed_and_holds():
     with pytest.raises(ValueError):
         VerificationReport("t", (), 3, observed, True)
     equal = valuation(Fraction(1, 4) - Fraction(1, 4), 7)
-    assert equal is INFINITE
+    assert equal == INFINITE
     assert VerificationReport("t", (), 9, equal, True).passed
 
 
@@ -319,6 +320,12 @@ def test_report_validation():
         VerificationReport("t", params, 4, 4, False)
     rep = VerificationReport("t", params, 4, 3, False)
     assert rep.passed is False
+    # an error report carries its message and nothing else
+    with pytest.raises(ValueError):
+        VerificationReport("t", params, 4, 4, True, error="ResourceGuardError: too big")
+    with pytest.raises(ValueError):
+        VerificationReport("t", params, skipped_reason="some reason", error="too big")
+    assert VerificationReport("t", params, error="too big").passed is None
 
 
 def test_canonical_sort_is_by_claim_then_params():
@@ -386,7 +393,7 @@ def test_run_wz_fuzz_small():
     reports = run_wz_fuzz(25)
     assert len(reports) == 25
     assert all(rep.passed for rep in reports)
-    assert all(rep.observed_valuation is INFINITE for rep in reports)
+    assert all(rep.observed_valuation == INFINITE for rep in reports)
     assert all(rep.claim == "wz.residual" for rep in reports)
 
 
@@ -394,7 +401,7 @@ def test_run_telescope_fuzz_small():
     reports = run_telescope_fuzz(10)
     assert len(reports) == 10
     assert all(rep.passed for rep in reports)
-    assert all(rep.observed_valuation is INFINITE for rep in reports)
+    assert all(rep.observed_valuation == INFINITE for rep in reports)
 
 
 def test_resource_guard():
@@ -407,6 +414,21 @@ def test_resource_guard():
     with pytest.raises(ResourceGuardError):
         probe_conjecture_7_1(149, 2)
     assert 211**2 > TERM_GUARD  # the guard is what these runs trip
+
+
+def test_capacity_error_becomes_a_batch_report():
+    tasks = [(DashParams(1, 2, 1), 5, 1), (DashParams(1, 2, 1), 211, 2)]
+    for parallelism in (1, 2):
+        passed, stopped = run_theorem_batch(tasks, parallelism)
+        assert passed.passed is True
+        assert stopped.params == (("c", 1), ("d", 2), ("s", 1), ("p", 211), ("r", 2))
+        assert stopped.error.startswith("ResourceGuardError: 44521 terms")
+        assert stopped.passed is None and stopped.observed_valuation is None
+    # a single call still raises, with the report a batch would keep
+    with pytest.raises(PrecisionCapError) as caught:
+        verify_lemma(LemmaCheck.POCHHAMMER_UNIT, DashParams(1, 4, 1), 1009, 1)
+    assert caught.value.report.claim == "lemma.pochhammer-unit"
+    assert caught.value.report.error.startswith("PrecisionCapError: p^M = 1018081")
 
 
 def test_nonprime_and_bad_r_rejected():

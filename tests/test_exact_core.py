@@ -26,7 +26,7 @@ primes = st.sampled_from(PRIMES)
 
 def test_valuation_reference_values():
     assert valuation(Rational(49, 3), 7) == 2
-    assert valuation(Rational(0), 5) is INFINITE
+    assert valuation(Rational(0), 5) == INFINITE
     assert valuation(Rational(205, 144), 5) == 1
     assert valuation(Rational(1, 7), 7) == -1
     assert valuation(Rational(-50), 5) == 2

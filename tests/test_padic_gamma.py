@@ -121,9 +121,11 @@ def test_factorization_unit_matches_exact_rising_factorial():
 
 
 def test_factorization_preconditions():
-    # the first dash iterate of 1/6 at p = 5 is 5/6, not a unit
+    # the first dash iterate of 1/6 at p = 5 is 5/6: its p-power joins E = 1 + 1
+    assert pochhammer_factorization(Rational(1, 6), 5, 1, 2)[0] == 2
+    # the first dash iterate of -3 at p = 5 is 0, and (-3)_5 = 0 has no split
     with pytest.raises(ValueError):
-        pochhammer_factorization(Rational(1, 6), 5, 1, 2)
+        pochhammer_factorization(Rational(-3), 5, 1, 1)
     with pytest.raises(PrecisionCapError):
         pochhammer_factorization(Rational(1, 2), 101, 1, 3)  # 101^3 > cap
     with pytest.raises(PadicDenominatorError):
@@ -133,7 +135,7 @@ def test_factorization_preconditions():
 @given(st.sampled_from([3, 5, 7]), st.integers(min_value=1, max_value=2), rationals)
 def test_factorization_agrees_with_exact_pochhammer(p, r, x):
     assume(x.denominator % p != 0)
-    assume(residue(dash_iter(x, p, r), p, 1) != 0)
+    assume(dash_iter(x, p, r) != 0)
     E, unit = pochhammer_factorization(x, p, r, 2)
     exact = pochhammer(x, p**r)
     assert valuation(exact, p) == E

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .congruence_suite import (
@@ -39,31 +40,49 @@ from .exact_core import INFINITE
 FORMATS = ("json", "tsv", "text")
 
 
-def _format_valuation(value) -> str:
-    return "inf" if value == INFINITE else str(value)
+# outcome -> (summary label, text line after "<outcome> <claim> (<params>): ")
+_TEXT = {
+    "PASS": ("passed", "v={observed_valuation} >= {required_exponent}"),
+    "FAIL": ("failed", "v={observed_valuation} < {required_exponent}"),
+    "SKIP": ("skipped", "{skipped_reason}"),
+    "INFO": (
+        "informational",
+        "observed v={observed_valuation} against target {required_exponent}",
+    ),
+    "ERROR": ("errors", "{error}"),
+}
 
 
-def _params_text(rep: VerificationReport) -> str:
-    return ",".join(f"{key}={value}" for key, value in rep.params)
+def _fields(rep: VerificationReport) -> dict[str, object]:
+    """Every report field by its stream name, in TSV column order; None marks an absent field."""
+    observed = rep.observed_valuation
+    return {
+        "claim": rep.claim,
+        "params": dict(rep.params),
+        "required_exponent": rep.required_exponent,
+        "observed_valuation": "inf" if observed == INFINITE else observed,
+        "pass": rep.passed,
+        "skipped_reason": rep.skipped_reason,
+        "informational": True if rep.informational else None,
+        "error": rep.error,
+    }
+
+
+def _cell(value: object) -> str:
+    """One field as TSV and text show it, "-" when absent."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        return ",".join(f"{key}={item}" for key, item in value.items())
+    return str(value)
 
 
 def _json_lines(reports: list[VerificationReport], include_timings: bool) -> str:
     lines = []
     for rep in reports:
-        obj: dict[str, object] = {"claim": rep.claim, "params": dict(rep.params)}
-        if rep.error is not None:
-            obj["error"] = rep.error
-        elif rep.skipped_reason is not None:
-            obj["skipped_reason"] = rep.skipped_reason
-        else:
-            obj["required_exponent"] = rep.required_exponent
-            obj["observed_valuation"] = (
-                "inf" if rep.observed_valuation == INFINITE else rep.observed_valuation
-            )
-            if rep.informational:
-                obj["informational"] = True
-            else:
-                obj["pass"] = rep.passed
+        obj = {key: value for key, value in _fields(rep).items() if value is not None}
         if include_timings:
             obj["elapsed_ms"] = round(rep.elapsed_ms, 3)
         lines.append(json.dumps(obj, sort_keys=True))
@@ -71,33 +90,13 @@ def _json_lines(reports: list[VerificationReport], include_timings: bool) -> str
 
 
 def _tsv_lines(reports: list[VerificationReport], include_timings: bool) -> str:
-    columns = [
-        "claim",
-        "params",
-        "required_exponent",
-        "observed_valuation",
-        "pass",
-        "skipped_reason",
-        "informational",
-    ]
-    errors = any(rep.error is not None for rep in reports)
-    if errors:
-        columns.append("error")
-    if include_timings:
-        columns.append("elapsed_ms")
-    rows = ["\t".join(columns)]
+    errors = any(rep.outcome == "ERROR" for rep in reports)
+    columns = [key for key in _fields(reports[0]) if key != "error" or errors]
+    header = columns + ["elapsed_ms"] if include_timings else columns
+    rows = ["\t".join(header)]
     for rep in reports:
-        cells = [
-            rep.claim,
-            _params_text(rep),
-            "-" if rep.required_exponent is None else str(rep.required_exponent),
-            "-" if rep.observed_valuation is None else _format_valuation(rep.observed_valuation),
-            "-" if rep.passed is None else ("true" if rep.passed else "false"),
-            rep.skipped_reason or "-",
-            "true" if rep.informational else "-",
-        ]
-        if errors:
-            cells.append(rep.error or "-")
+        fields = _fields(rep)
+        cells = [_cell(fields[column]) for column in columns]
         if include_timings:
             cells.append(f"{rep.elapsed_ms:.3f}")
         rows.append("\t".join(cells))
@@ -106,37 +105,17 @@ def _tsv_lines(reports: list[VerificationReport], include_timings: bool) -> str:
 
 def _text_lines(reports: list[VerificationReport], include_timings: bool) -> str:
     lines = []
-    tallies = {"passed": 0, "failed": 0, "skipped": 0, "informational": 0, "errors": 0}
     for rep in reports:
+        fields = {key: _cell(value) for key, value in _fields(rep).items()}
         suffix = f" [{rep.elapsed_ms:.1f} ms]" if include_timings else ""
-        where = f"{rep.claim} ({_params_text(rep)})"
-        if rep.error is not None:
-            tallies["errors"] += 1
-            lines.append(f"ERROR {where}: {rep.error}{suffix}")
-        elif rep.skipped_reason is not None:
-            tallies["skipped"] += 1
-            lines.append(f"SKIP {where}: {rep.skipped_reason}{suffix}")
-        elif rep.informational:
-            tallies["informational"] += 1
-            lines.append(
-                f"INFO {where}: observed v={_format_valuation(rep.observed_valuation)}"
-                f" against target {rep.required_exponent}{suffix}"
-            )
-        elif rep.passed:
-            tallies["passed"] += 1
-            lines.append(
-                f"PASS {where}: v={_format_valuation(rep.observed_valuation)}"
-                f" >= {rep.required_exponent}{suffix}"
-            )
-        else:
-            tallies["failed"] += 1
-            lines.append(
-                f"FAIL {where}: v={_format_valuation(rep.observed_valuation)}"
-                f" < {rep.required_exponent}{suffix}"
-            )
-    if not tallies["errors"]:
-        del tallies["errors"]
-    summary = ", ".join(f"{count} {label}" for label, count in tallies.items())
+        detail = _TEXT[rep.outcome][1].format_map(fields)
+        lines.append(f"{rep.outcome} {rep.claim} ({fields['params']}): {detail}{suffix}")
+    tallies = Counter(rep.outcome for rep in reports)
+    summary = ", ".join(
+        f"{tallies[outcome]} {label}"
+        for outcome, (label, _) in _TEXT.items()
+        if outcome != "ERROR" or tallies[outcome]
+    )
     return "\n".join(lines) + "\n" + summary + "\n"
 
 
@@ -308,9 +287,10 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     sys.stdout.buffer.write(stream)
     sys.stdout.buffer.flush()
-    if any(rep.passed is False for rep in reports):
+    outcomes = {rep.outcome for rep in reports}
+    if "FAIL" in outcomes:
         return 1
-    return 3 if any(rep.error is not None for rep in reports) else 0
+    return 3 if "ERROR" in outcomes else 0
 
 
 def main() -> None:

@@ -107,43 +107,51 @@ class LemmaCheck(Enum):
 class VerificationReport:
     """Outcome of one claim.
 
-    A verified report carries the observed valuation, the required exponent
-    and a verdict that is forced to agree with them. A skipped report carries
-    only a reason. An informational report carries an observation but no
-    verdict. For claims of exact equality the observation is INFINITE when
-    the identity holds and 0 when it fails; an accidental high valuation of a
-    wrong value is never reported as partial success. An error report carries
-    only the capacity error that stopped its claim in a batch.
+    A verified report carries the observed valuation and the required
+    exponent; its verdict is derived from them and never stored. A skipped
+    report carries only a reason. An informational report carries an
+    observation but no verdict. For claims of exact equality the observation
+    is INFINITE when the identity holds and 0 when it fails; an accidental
+    high valuation of a wrong value is never reported as partial success. An
+    error report carries only the capacity error that stopped its claim in a
+    batch. `outcome` names which of these a report is.
     """
 
     claim: str
     params: ParamItems
     required_exponent: int | None = None
     observed_valuation: Valuation | None = None
-    passed: bool | None = None
     skipped_reason: str | None = None
     informational: bool = False
     elapsed_ms: float = 0.0
     error: str | None = None
 
     def __post_init__(self) -> None:
+        numbers = (self.required_exponent, self.observed_valuation)
         if self.error is not None:
-            fields = (self.required_exponent, self.observed_valuation, self.passed)
-            if fields != (None, None, None) or self.skipped_reason is not None:
+            if numbers != (None, None) or self.skipped_reason is not None:
                 raise ValueError("an error report carries only its message")
         elif self.skipped_reason is not None:
-            if self.passed is not None or self.observed_valuation is not None:
-                raise ValueError("a skipped report carries no verdict")
-        elif self.informational:
-            if self.passed is not None:
-                raise ValueError("an informational report carries no verdict")
-            if self.observed_valuation is None or self.required_exponent is None:
-                raise ValueError("an informational report needs an observation")
-        else:
-            if self.observed_valuation is None or self.required_exponent is None:
-                raise ValueError("a verified report needs an observation")
-            if self.passed != (self.observed_valuation >= self.required_exponent):
-                raise ValueError("verdict contradicts the observation")
+            if self.observed_valuation is not None:
+                raise ValueError("a skipped report carries no observation")
+        elif None in numbers:
+            raise ValueError("a verified or informational report needs an observation")
+
+    @property
+    def outcome(self) -> str:
+        """ERROR, SKIP, INFO, or PASS/FAIL as the observation meets the exponent or not."""
+        if self.error is not None:
+            return "ERROR"
+        if self.skipped_reason is not None:
+            return "SKIP"
+        if self.informational:
+            return "INFO"
+        return "PASS" if self.observed_valuation >= self.required_exponent else "FAIL"
+
+    @property
+    def passed(self) -> bool | None:
+        """The verdict of a verified report; None for the other outcomes."""
+        return {"PASS": True, "FAIL": False}.get(self.outcome)
 
     @property
     def sort_key(self) -> tuple[str, ParamItems]:
@@ -157,18 +165,6 @@ def canonical_sort(reports: list[VerificationReport]) -> list[VerificationReport
 
 def _ms(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
-
-
-def _verdict(
-    claim: str,
-    params: ParamItems,
-    required: int,
-    observed: Valuation,
-    elapsed_ms: float,
-) -> VerificationReport:
-    return VerificationReport(
-        claim, params, required, observed, observed >= required, None, False, elapsed_ms
-    )
 
 
 def _as_int(q: Rational, what: str) -> int:
@@ -210,11 +206,11 @@ def _verify(
             )
         required, observed = observe()
     except (ResourceGuardError, PrecisionCapError) as exc:
-        exc.report = VerificationReport(claim, ident, error=f"{type(exc).__name__}: {exc}")
+        error = f"{type(exc).__name__}: {exc}"
+        exc.report = VerificationReport(claim, ident, elapsed_ms=_ms(t0), error=error)
         raise
-    passed = None if informational else observed >= required
     return VerificationReport(
-        claim, ident, required, observed, passed, None, informational, _ms(t0)
+        claim, ident, required, observed, informational=informational, elapsed_ms=_ms(t0)
     )
 
 
@@ -263,13 +259,22 @@ def _theorem_skip_reason(params: DashParams, p: int, r: int) -> str | None:
     return None
 
 
+def _harmonic_length(alpha: Fraction, p: int, r: int) -> int:
+    """n = alpha^(*r) p - alpha^(*(r-1)), the length of the theorem's harmonic number."""
+    return _as_int(dash_iter(alpha, p, r) * p - dash_iter(alpha, p, r - 1), "harmonic length")
+
+
+def _g_window(alpha: Fraction, p: int, r: int) -> Rational:
+    """a^3/(1/2+alpha)^(*r) * p^(r+2) * H^(2)_n, a = alpha^(*r): the theorem's harmonic term."""
+    asr = dash_iter(alpha, p, r)
+    scale = asr**3 / dash_iter(HALF + alpha, p, r) * p ** (r + 2)
+    return scale * harmonic(_harmonic_length(alpha, p, r), 2)
+
+
 def _observe_theorem(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     alpha = params.alpha
-    asr = dash_iter(alpha, p, r)
-    n_h = _as_int(asr * p - dash_iter(alpha, p, r - 1), "harmonic length")
-    lhs = sum_F(alpha, p**r)
-    rhs = asr * p**r - asr**3 / dash_iter(HALF + alpha, p, r) * p ** (r + 2) * harmonic(n_h, 2)
-    return r + 3, valuation(lhs - rhs, p)
+    rhs = dash_iter(alpha, p, r) * p**r - _g_window(alpha, p, r)
+    return r + 3, valuation(sum_F(alpha, p**r) - rhs, p)
 
 
 def verify_theorem(params: DashParams, p: int, r: int, force: bool = False) -> VerificationReport:
@@ -472,11 +477,9 @@ def _check_harmonic_square_scaled(params: DashParams, p: int, r: int) -> tuple[i
 def _check_harmonic_shift(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     alpha = params.alpha
     a = residue(-alpha, p, r)
-    asr = dash_iter(alpha, p, r)
-    n_h = _as_int(asr * p - dash_iter(alpha, p, r - 1), "harmonic length")
     scale = p ** (2 * r)
     window = sum((1 / (alpha + l) ** 2 for l in range(a)), Fraction(0))
-    v_shift = valuation(scale * window - p**2 * harmonic(n_h, 2), p)
+    v_shift = valuation(scale * window - p**2 * harmonic(_harmonic_length(alpha, p, r), 2), p)
     tail = sum((1 / (alpha + a - l) ** 2 for l in range(1, (p**r - 1) // 2 + 1)), Fraction(0))
     return 3, min(v_shift, valuation(scale * tail, p))
 
@@ -488,12 +491,8 @@ def _check_sum_f_dash_point(params: DashParams, p: int, r: int) -> tuple[int, Va
 
 def _check_sum_g_window(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     alpha = params.alpha
-    a = residue(-alpha, p, r)
-    asr = dash_iter(alpha, p, r)
-    n_h = _as_int(asr * p - dash_iter(alpha, p, r - 1), "harmonic length")
-    lhs = sum_G_boundary(alpha, a, p**r)
-    rhs = asr**3 / dash_iter(HALF + alpha, p, r) * p ** (r + 2) * harmonic(n_h, 2)
-    return r + 3, valuation(lhs - rhs, p)
+    lhs = sum_G_boundary(alpha, residue(-alpha, p, r), p**r)
+    return r + 3, valuation(lhs - _g_window(alpha, p, r), p)
 
 
 def _check_harmonic_prime(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
@@ -645,24 +644,14 @@ def reproduce_table_1() -> list[VerificationReport]:
                 ("alpha", str(alpha)),
                 ("r", r),
             )
-            reports.append(_verdict("table1", ident, 1, observed, _ms(t0)))
+            reports.append(
+                VerificationReport("table1", ident, 1, observed, elapsed_ms=_ms(t0))
+            )
     return canonical_sort(reports)
 
 
-THEOREM_ROWS: tuple[DashParams, ...] = (
-    DashParams(1, 2, 1),
-    DashParams(1, 3, 1),
-    DashParams(2, 3, 1),
-    DashParams(1, 6, 1),
-    DashParams(5, 6, 1),
-    DashParams(1, 3, 2),
-    DashParams(2, 3, 2),
-    DashParams(1, 6, 5),
-    DashParams(5, 6, 5),
-    DashParams(1, 4, 1),
-    DashParams(3, 4, 1),
-    DashParams(1, 4, 3),
-    DashParams(3, 4, 3),
+THEOREM_ROWS: tuple[DashParams, ...] = tuple(
+    _effective_class(alpha, d, s) for d, s, alpha in _TABLE_ROWS
 )
 
 
@@ -674,6 +663,8 @@ def admissible_primes(
     p_max: int = 2_000,
 ) -> list[int]:
     """The first `count` primes satisfying every hypothesis at (params, r)."""
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
     found: list[int] = []
     for p in range(max(5, p_min), p_max + 1):
         if len(found) == count:
@@ -686,15 +677,14 @@ def admissible_primes(
 
 
 def theorem_grid(
-    rows: tuple[DashParams, ...] = THEOREM_ROWS,
     r_values: tuple[int, ...] = (1, 2),
     count: int = 2,
     p_min: int = 5,
     p_max: int = 2_000,
 ) -> list[tuple[DashParams, int, int]]:
-    """(params, p, r) tasks: each row at each r with its admissible primes."""
+    """(params, p, r) tasks: each of THEOREM_ROWS at each r with its admissible primes."""
     tasks = []
-    for params in rows:
+    for params in THEOREM_ROWS:
         for r in r_values:
             for p in admissible_primes(params, r, count, p_min, p_max):
                 tasks.append((params, p, r))
@@ -748,23 +738,22 @@ def run_lemma_batch(
     return _run_tasks(jobs, parallelism)
 
 
-def wz_fuzz_cases(
-    count: int = 200,
-    seed: int = DEFAULT_SEED,
-    max_part: int = 1_000,
-    max_k: int = 25,
-) -> list[tuple[Rational, int]]:
+def wz_fuzz_cases(count: int = 200, seed: int = DEFAULT_SEED) -> list[tuple[Rational, int]]:
     """Seeded admissible (x, k) pairs for the pair-identity residual.
 
-    Admissible means x is nonzero (G divides by x^3) and (1/2+x)_{k+1} has
-    no vanishing factor, so all four terms of the residual are defined.
+    x = num/den with 0 < |num| <= 1 000 and 1 <= den <= 1 000, and
+    0 <= k <= 25. Admissible means x is nonzero (G divides by x^3) and
+    (1/2+x)_{k+1} has no vanishing factor, so all four terms of the residual
+    are defined.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
     cases: list[tuple[Rational, int]] = []
     while len(cases) < count:
-        num = rng.randint(-max_part, max_part)
-        den = rng.randint(1, max_part)
-        k = rng.randint(0, max_k)
+        num = rng.randint(-1_000, 1_000)
+        den = rng.randint(1, 1_000)
+        k = rng.randint(0, 25)
         if num == 0:
             continue
         x = Fraction(num, den)
@@ -782,28 +771,28 @@ def run_wz_fuzz(count: int = 200, seed: int = DEFAULT_SEED) -> list[Verification
         t0 = time.perf_counter()
         observed = INFINITE if wz_residual(x, k) == 0 else 0
         ident: ParamItems = (("case", f"{index:03d}"), ("x", str(x)), ("k", k))
-        reports.append(_verdict("wz.residual", ident, 1, observed, _ms(t0)))
+        reports.append(
+            VerificationReport("wz.residual", ident, 1, observed, elapsed_ms=_ms(t0))
+        )
     return canonical_sort(reports)
 
 
-def telescope_cases(
-    count: int = 50,
-    seed: int = DEFAULT_SEED,
-    max_a: int = 12,
-    max_n: int = 60,
-) -> list[tuple[Rational, int, int]]:
+def telescope_cases(count: int = 50, seed: int = DEFAULT_SEED) -> list[tuple[Rational, int, int]]:
     """Seeded admissible (alpha, a, N) triples for the telescoping identity.
 
-    Admissible means alpha + l is nonzero for l in [0, a) and no factor of
-    (1/2 + alpha + l)_N vanishes, so every G term and both sums are defined.
+    1 <= a <= 12 and 1 <= N <= 60. Admissible means alpha + l is nonzero for
+    l in [0, a) and no factor of (1/2 + alpha + l)_N vanishes, so every G
+    term and both sums are defined.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
     cases: list[tuple[Rational, int, int]] = []
     while len(cases) < count:
         num = rng.randint(-60, 60)
         den = rng.randint(1, 20)
-        a = rng.randint(1, max_a)
-        n = rng.randint(1, max_n)
+        a = rng.randint(1, 12)
+        n = rng.randint(1, 60)
         x = Fraction(num, den)
         if x.denominator == 1 and 0 <= -x < a:
             continue
@@ -822,5 +811,7 @@ def run_telescope_fuzz(count: int = 50, seed: int = DEFAULT_SEED) -> list[Verifi
         residual = sum_F(x, n) - sum_F(x + a, n) + sum_G_boundary(x, a, n)
         observed = INFINITE if residual == 0 else 0
         ident: ParamItems = (("case", f"{index:02d}"), ("alpha", str(x)), ("a", a), ("N", n))
-        reports.append(_verdict("wz.telescope", ident, 1, observed, _ms(t0)))
+        reports.append(
+            VerificationReport("wz.telescope", ident, 1, observed, elapsed_ms=_ms(t0))
+        )
     return canonical_sort(reports)

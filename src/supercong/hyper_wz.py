@@ -113,7 +113,7 @@ def sum_G_boundary(alpha: Rational, a: int, N: int) -> Rational:
 
     Consecutive values are related by one rational ratio, so the usual cost of a
     full Pochhammer evaluation is paid once, not a times. Whenever a value is 0
-    (or a ratio factor degenerates) the next value is recomputed directly.
+    the next value is recomputed directly.
     """
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
@@ -126,18 +126,17 @@ def sum_G_boundary(alpha: Rational, a: int, N: int) -> Rational:
     # reject any pole in the whole l-range up front
     if alpha.denominator == 1 and 0 <= -alpha < a:
         raise PochhammerPoleError(f"G has a pole at x = 0 (l = {-alpha})")
-    t = -(alpha + Fraction(1, 2))
-    if t.denominator == 1 and t - (a - 1) < N and t >= 0:
-        bad_l = max(0, int(t) - N + 1)
-        if bad_l < a:
-            raise PochhammerPoleError(f"(1/2 + {alpha} + {bad_l})_{N} has a zero factor")
+    j = half_pole_index(alpha)
+    if j is not None and j < N + a - 1:
+        bad_l = max(0, j - N + 1)
+        raise PochhammerPoleError(f"(1/2 + {alpha} + {bad_l})_{N} has a zero factor")
 
     half = Fraction(1, 2)
     cur = term_G(alpha, N)
     total = cur
     for l in range(1, a):
         x = alpha + l - 1
-        if cur != 0 and x + 1 != 0 and half + x + N != 0:
+        if cur != 0:
             cur *= (N + 2 * x + 2) * (x + N) ** 3 * (half + x)
             cur /= (N + 2 * x) * (x + 1) ** 3 * (half + x + N)
         else:

@@ -18,12 +18,12 @@ THEOREM_LINE = (
 
 
 def sample_reports():
-    ok = VerificationReport("theorem", (("p", 7), ("r", 1)), 4, 4, True)
+    ok = VerificationReport("theorem", (("p", 7), ("r", 1)), 4, 4)
     skip = VerificationReport(
         "corollary", (("p", 13), ("r", 1)), skipped_reason="p=13 is not 3 mod 4"
     )
-    info = VerificationReport("conjecture-probe", (("p", 13), ("r", 1)), 6, 6, None, None, True)
-    exact = VerificationReport("table1", (("row", "01"),), 1, INFINITE, True)
+    info = VerificationReport("conjecture-probe", (("p", 13), ("r", 1)), 6, 6, informational=True)
+    exact = VerificationReport("table1", (("row", "01"),), 1, INFINITE)
     return [ok, skip, info, exact]
 
 
@@ -63,9 +63,13 @@ def test_usage_errors_exit_two(capfdbinary):
     assert run(["verify", "theorem", "--c", "1", "--d", "4", "--s", "3", "--p", "7", "--r", "0"]) == 2
     capfdbinary.readouterr()
 
+    assert run(["wz-fuzz", "--count", "-3"]) == 2
+    out, err = capfdbinary.readouterr()
+    assert out == b"" and b"count must be nonnegative" in err
+
 
 def test_failing_claim_exits_one(monkeypatch, capfdbinary):
-    failing = VerificationReport("theorem", (("p", 7), ("r", 1)), 4, 3, False)
+    failing = VerificationReport("theorem", (("p", 7), ("r", 1)), 4, 3)
     monkeypatch.setattr(cli, "verify_theorem", lambda *a, **k: failing)
     assert run(THEOREM_ARGS) == 1
     out, _ = capfdbinary.readouterr()
@@ -174,6 +178,7 @@ def test_run_config_validation(capfdbinary):
         ["--r-values", ","],
         ["--p-min", "100", "--p-max", "50"],
         ["--format", "xml"],
+        ["--count", "-1"],
     ):
         assert run(["batch", *flags]) == 2, flags
         out, err = capfdbinary.readouterr()

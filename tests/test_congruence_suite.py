@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,8 @@ def test_admissible_primes_options():
     assert admissible_primes(DashParams(1, 2, 1), 1, p_min=11) == [11, 13]
     with pytest.raises(ValueError):
         admissible_primes(DashParams(1, 2, 1), 1, count=3, p_max=8)
+    with pytest.raises(ValueError, match="count must be positive"):
+        admissible_primes(DashParams(1, 2, 1), 1, count=-1)
 
 
 def test_theorem_grid_shape():
@@ -277,16 +280,14 @@ def test_claim_validation():
 
 
 def test_claim_observed_and_holds():
-    # the observation is v_p(lhs - rhs), and a report's verdict must agree with it
+    # the observation is v_p(lhs - rhs), and a report's verdict is derived from it
     observed = valuation(Fraction(77, 3) - Fraction(2, 3), 5)
     assert observed == 2
-    assert VerificationReport("t", (), 2, observed, True).passed
-    assert VerificationReport("t", (), 3, observed, False).passed is False
-    with pytest.raises(ValueError):
-        VerificationReport("t", (), 3, observed, True)
+    assert VerificationReport("t", (), 2, observed).passed is True
+    assert VerificationReport("t", (), 3, observed).passed is False
     equal = valuation(Fraction(1, 4) - Fraction(1, 4), 7)
     assert equal == INFINITE
-    assert VerificationReport("t", (), 9, equal, True).passed
+    assert VerificationReport("t", (), 9, equal).passed is True
 
 
 @given(
@@ -296,43 +297,46 @@ def test_claim_observed_and_holds():
 )
 def test_claim_monotone_in_exponent(lhs, rhs, p):
     observed = valuation(lhs - rhs, p)
-    verdicts = []
-    for m in range(1, 6):
-        verdicts.append(VerificationReport("t", (), m, observed, observed >= m).passed)
-        with pytest.raises(ValueError):
-            VerificationReport("t", (), m, observed, not observed >= m)
+    verdicts = [VerificationReport("t", (), m, observed).passed for m in range(1, 6)]
+    assert verdicts == [observed >= m for m in range(1, 6)]
     # once a claim fails at some exponent it fails at every higher one
     assert verdicts == sorted(verdicts, reverse=True)
 
 
 def test_report_validation():
     params = (("p", 7),)
+    # a skipped report carries no observation
     with pytest.raises(ValueError):
-        VerificationReport("t", params, 4, 4, True, "some reason")
+        VerificationReport("t", params, 4, 4, "some reason")
+    # verified and informational reports need both numbers
     with pytest.raises(ValueError):
-        VerificationReport("t", params, 4, 4, True, None, True)
+        VerificationReport("t", params, 4, None)
     with pytest.raises(ValueError):
-        VerificationReport("t", params, 4, None, None)
-    # verdict must agree with the numbers
-    with pytest.raises(ValueError):
-        VerificationReport("t", params, 4, 3, True)
-    with pytest.raises(ValueError):
-        VerificationReport("t", params, 4, 4, False)
-    rep = VerificationReport("t", params, 4, 3, False)
-    assert rep.passed is False
+        VerificationReport("t", params, None, 4, informational=True)
+    # the verdict is derived from the numbers, not stored
+    assert "passed" not in {field.name for field in dataclasses.fields(VerificationReport)}
+    rep = VerificationReport("t", params, 4, 4)
+    assert (rep.outcome, rep.passed) == ("PASS", True)
+    rep = dataclasses.replace(rep, observed_valuation=3)
+    assert (rep.outcome, rep.passed) == ("FAIL", False)
+    rep = VerificationReport("t", params, 4, 3, informational=True)
+    assert (rep.outcome, rep.passed) == ("INFO", None)
+    rep = VerificationReport("t", params, skipped_reason="some reason")
+    assert (rep.outcome, rep.passed) == ("SKIP", None)
     # an error report carries its message and nothing else
     with pytest.raises(ValueError):
-        VerificationReport("t", params, 4, 4, True, error="ResourceGuardError: too big")
+        VerificationReport("t", params, 4, 4, error="ResourceGuardError: too big")
     with pytest.raises(ValueError):
         VerificationReport("t", params, skipped_reason="some reason", error="too big")
-    assert VerificationReport("t", params, error="too big").passed is None
+    rep = VerificationReport("t", params, error="too big")
+    assert (rep.outcome, rep.passed) == ("ERROR", None)
 
 
 def test_canonical_sort_is_by_claim_then_params():
     reps = [
-        VerificationReport("b", (("p", 7),), 1, 1, True),
-        VerificationReport("a", (("p", 11),), 1, 1, True),
-        VerificationReport("a", (("p", 7),), 1, 1, True),
+        VerificationReport("b", (("p", 7),), 1, 1),
+        VerificationReport("a", (("p", 11),), 1, 1),
+        VerificationReport("a", (("p", 7),), 1, 1),
     ]
     ordered = canonical_sort(reps)
     assert [rep.claim for rep in ordered] == ["a", "a", "b"]
@@ -368,6 +372,8 @@ def test_wz_fuzz_cases_seeded_and_bounded():
     assert cases == wz_fuzz_cases(40)
     assert cases != wz_fuzz_cases(40, seed=DEFAULT_SEED + 1)
     assert len(cases) == 40
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        wz_fuzz_cases(-3)
     for x, k in cases:
         assert x != 0
         assert abs(x) <= 1000
@@ -381,6 +387,8 @@ def test_telescope_cases_seeded_and_bounded():
     cases = telescope_cases(20)
     assert cases == telescope_cases(20)
     assert len(cases) == 20
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        telescope_cases(-1)
     for x, a, n in cases:
         assert 1 <= a <= 12
         assert 1 <= n <= 60
@@ -424,11 +432,13 @@ def test_capacity_error_becomes_a_batch_report():
         assert stopped.params == (("c", 1), ("d", 2), ("s", 1), ("p", 211), ("r", 2))
         assert stopped.error.startswith("ResourceGuardError: 44521 terms")
         assert stopped.passed is None and stopped.observed_valuation is None
+        assert stopped.elapsed_ms > 0
     # a single call still raises, with the report a batch would keep
     with pytest.raises(PrecisionCapError) as caught:
         verify_lemma(LemmaCheck.POCHHAMMER_UNIT, DashParams(1, 4, 1), 1009, 1)
     assert caught.value.report.claim == "lemma.pochhammer-unit"
     assert caught.value.report.error.startswith("PrecisionCapError: p^M = 1018081")
+    assert caught.value.report.elapsed_ms > 0
 
 
 def test_nonprime_and_bad_r_rejected():
@@ -475,12 +485,12 @@ def test_sum_decomposes_through_dash_point():
 @given(st.permutations(list(range(6))))
 def test_canonical_sort_is_permutation_invariant(order):
     base = [
-        VerificationReport("a", (("p", 5),), 1, 1, True),
-        VerificationReport("a", (("p", 7),), 1, 1, True),
-        VerificationReport("b", (("p", 5),), 1, 1, True),
-        VerificationReport("b", (("p", 7),), 1, 1, True),
-        VerificationReport("c", (("p", 5),), 1, 1, True),
-        VerificationReport("c", (("p", 7),), 1, 1, True),
+        VerificationReport("a", (("p", 5),), 1, 1),
+        VerificationReport("a", (("p", 7),), 1, 1),
+        VerificationReport("b", (("p", 5),), 1, 1),
+        VerificationReport("b", (("p", 7),), 1, 1),
+        VerificationReport("c", (("p", 5),), 1, 1),
+        VerificationReport("c", (("p", 7),), 1, 1),
     ]
     shuffled = [base[i] for i in order]
     assert canonical_sort(shuffled) == base

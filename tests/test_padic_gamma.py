@@ -1,5 +1,6 @@
 """Morita Gamma values, the ratio law, and the rising-factorial unit split."""
 
+import random
 from math import gcd
 
 import pytest
@@ -10,6 +11,7 @@ from supercong import (
     PRECISION_CAP,
     PadicDenominatorError,
     PrecisionCapError,
+    PrimeRequiredError,
     Rational,
     dash_iter,
     gamma_p,
@@ -19,9 +21,13 @@ from supercong import (
     residue,
     valuation,
 )
+from supercong.padic_gamma import _block_levels, _gamma_residue
 
 rationals = st.fractions(min_value=-200, max_value=200, max_denominator=50)
 primes = st.sampled_from([3, 5, 7, 11, 13])
+moduli = st.sampled_from(
+    [(p, M) for p in (2, 3, 5, 7, 11, 13) for M in range(1, 17) if p**M <= 10**5]
+)
 
 
 def test_gamma_int_reference_values():
@@ -71,6 +77,11 @@ def test_gamma_quotient_of_several_values():
     assert gamma_quotient([Rational(2, 3)], [Rational(2, 3)], 5, 2) == 1
     with pytest.raises(PrecisionCapError):
         gamma_quotient([Rational(1, 2)], [], 101, 3)
+    # p and M are checked even when there is no factor to evaluate
+    with pytest.raises(PrimeRequiredError):
+        gamma_quotient([], [], 4, 2)
+    with pytest.raises(PrecisionCapError):
+        gamma_quotient([], [], 101, 3)
 
 
 @given(st.integers(min_value=0, max_value=300), primes, st.integers(min_value=1, max_value=3))
@@ -97,6 +108,59 @@ def test_ratio_law(x, p, M):
 def test_lipschitz_continuity(x, t, p, M):
     assume(x.denominator % p != 0)
     assert gamma_p(x, p, M).residue == gamma_p(x + t * p**M, p, M).residue
+
+
+def direct_gamma(n, p, M):
+    """Gamma_p(n) mod p^M as (-1)^n times every unit below n, multiplied one by one."""
+    pm = p**M
+    acc = 1
+    for j in range(1, n):
+        if j % p:
+            acc = acc * j % pm
+    return acc if n % 2 == 0 else -acc % pm
+
+
+@pytest.mark.parametrize("p, M", [(2, 1), (2, 5), (3, 6), (5, 3), (7, 4), (13, 3)])
+def test_block_evaluation_matches_the_direct_product(p, M):
+    for n in sorted({0, 1, p - 1, p, p + 1, p**M - 1}):
+        assert gamma_p(Rational(n), p, M).residue == direct_gamma(n, p, M)
+    # one polynomial of M coefficients per block level, and no table of p^M values
+    levels = _block_levels(p, M)
+    assert len(levels) == M - 1 and all(len(poly) == M for poly in levels)
+
+
+@given(moduli, st.data())
+def test_block_evaluation_matches_the_direct_product_at_random(modulus, data):
+    p, M = modulus
+    n = data.draw(st.integers(min_value=0, max_value=p**M - 1))
+    assert gamma_p(Rational(n), p, M).residue == direct_gamma(n, p, M)
+
+
+def test_functional_equation_past_the_cap():
+    # 101^4 > PRECISION_CAP, so this reaches the evaluator behind gamma_p directly
+    p, M = 101, 4
+    pm = p**M
+    rng = random.Random(p)
+    units = [n for n in rng.sample(range(1, pm - 1), 60) if n % p][:50]
+    assert len(units) == 50
+    for n in units:
+        assert _gamma_residue(n + 1, p, M) == -n * _gamma_residue(n, p, M) % pm
+
+
+@pytest.mark.parametrize("p, M", [(31, 4), (97, 3)])
+def test_reflection_formula(p, M):
+    # Gamma_p(x) Gamma_p(1 - x) = (-1)^x0 with x0 in {1, ..., p}, x0 = x mod p, for odd p
+    # (Robert, A Course in p-adic Analysis, ch. 7); it uses no product of units
+    rng = random.Random(p * M)
+    checked = 0
+    while checked < 40:
+        x = Rational(rng.randint(-10**6, 10**6), rng.randint(1, 1000))
+        if x.denominator % p == 0:
+            continue
+        x0 = residue(x, p, 1) or p
+        product = gamma_p(x, p, M).residue * gamma_p(1 - x, p, M).residue
+        assert product % p**M == (-1) ** x0 % p**M
+        checked += 1
 
 
 def test_factorization_reference_values():

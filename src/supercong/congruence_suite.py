@@ -214,6 +214,20 @@ def _verify(
     )
 
 
+def _exact(holds: bool) -> Valuation:
+    """The observation of an exact identity: INFINITE when it holds, 0 when it fails."""
+    return INFINITE if holds else 0
+
+
+def _identity_report(
+    claim: str, ident: ParamItems, holds: Callable[[], bool]
+) -> VerificationReport:
+    """Report one exact identity at required exponent 1, timing only the holds() call."""
+    t0 = time.perf_counter()
+    observed = _exact(holds())
+    return VerificationReport(claim, ident, 1, observed, elapsed_ms=_ms(t0))
+
+
 def _dash_ident(params: DashParams, p: int, r: int) -> ParamItems:
     return (("c", params.c), ("d", params.d), ("s", params.s), ("p", p), ("r", r))
 
@@ -387,7 +401,7 @@ def verify_family(
 
 
 def _all_equal(pairs: list[tuple[Rational, Rational]]) -> Valuation:
-    return INFINITE if all(lhs == rhs for lhs, rhs in pairs) else 0
+    return _exact(all(lhs == rhs for lhs, rhs in pairs))
 
 
 def _check_dash_closed_form(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
@@ -403,8 +417,7 @@ def _check_dash_iterates(params: DashParams, p: int, r: int) -> tuple[int, Valua
 def _check_dash_period(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     iterates = dash_iterates(params.alpha, p, dash_period(params.d, params.s))
     # the orbit returns to alpha after exactly one period, and not before
-    closes = iterates[-1] == params.alpha and params.alpha not in iterates[1:-1]
-    return 1, INFINITE if closes else 0
+    return 1, _exact(iterates[-1] == params.alpha and params.alpha not in iterates[1:-1])
 
 
 def _check_dash_residue(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
@@ -422,13 +435,14 @@ def _check_dash_max_multiple(params: DashParams, p: int, r: int) -> tuple[int, V
     # vacuously true at r = 1: there is no j to check
     iterates = dash_iterates(params.alpha, p, r)
     asr = iterates[r]
-    for j in range(r - 1):
+
+    def holds(j: int) -> bool:
         bound = _as_int(asr * p ** (r - j) - iterates[j], "candidate range end")
         claimed = _as_int(asr * p ** (r - j) - iterates[j + 1] * p, "claimed maximum")
         # claimed = 0 is the degenerate case: no multiple of p in [1, bound]
-        if claimed != p * (bound // p):
-            return 1, 0
-    return 1, INFINITE
+        return claimed == p * (bound // p)
+
+    return 1, _exact(all(holds(j) for j in range(r - 1)))
 
 
 def _check_pochhammer_unit(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
@@ -623,6 +637,14 @@ def _closed_iterate_in_class(x: Rational, d: int, s: int, r: int) -> Rational:
     return dash_closed_form(_effective_class(x, d, s), r)
 
 
+def _table_row_holds(
+    d: int, s: int, alpha: Fraction, expected: Callable[[int], tuple[Fraction, Fraction]], r: int
+) -> bool:
+    """The closed-form r-th iterates of alpha and 1/2 + alpha equal the tabulated pair."""
+    got = tuple(_closed_iterate_in_class(x, d, s, r) for x in (alpha, HALF + alpha))
+    return got == expected(r)
+
+
 def reproduce_table_1() -> list[VerificationReport]:
     """Check the tabulated dash iterates of alpha and 1/2 + alpha.
 
@@ -632,11 +654,6 @@ def reproduce_table_1() -> list[VerificationReport]:
     reports = []
     for index, ((d, s, alpha), expected) in enumerate(zip(_TABLE_ROWS, _TABLE_EXPECTED), 1):
         for r in (1, 2):
-            t0 = time.perf_counter()
-            want_alpha, want_beta = expected(r)
-            got_alpha = _closed_iterate_in_class(alpha, d, s, r)
-            got_beta = _closed_iterate_in_class(HALF + alpha, d, s, r)
-            observed = _all_equal([(got_alpha, want_alpha), (got_beta, want_beta)])
             ident: ParamItems = (
                 ("row", f"{index:02d}"),
                 ("d", d),
@@ -644,9 +661,8 @@ def reproduce_table_1() -> list[VerificationReport]:
                 ("alpha", str(alpha)),
                 ("r", r),
             )
-            reports.append(
-                VerificationReport("table1", ident, 1, observed, elapsed_ms=_ms(t0))
-            )
+            holds = partial(_table_row_holds, d, s, alpha, expected, r)
+            reports.append(_identity_report("table1", ident, holds))
     return canonical_sort(reports)
 
 
@@ -768,12 +784,8 @@ def run_wz_fuzz(count: int = 200, seed: int = DEFAULT_SEED) -> list[Verification
     """Check the pair identity F(x+1,k) - F(x,k) = G(x,k+1) - G(x,k) exactly."""
     reports = []
     for index, (x, k) in enumerate(wz_fuzz_cases(count, seed)):
-        t0 = time.perf_counter()
-        observed = INFINITE if wz_residual(x, k) == 0 else 0
         ident: ParamItems = (("case", f"{index:03d}"), ("x", str(x)), ("k", k))
-        reports.append(
-            VerificationReport("wz.residual", ident, 1, observed, elapsed_ms=_ms(t0))
-        )
+        reports.append(_identity_report("wz.residual", ident, lambda: wz_residual(x, k) == 0))
     return canonical_sort(reports)
 
 
@@ -807,11 +819,12 @@ def run_telescope_fuzz(count: int = 50, seed: int = DEFAULT_SEED) -> list[Verifi
     """Check sum_F(x, N) - sum_F(x+a, N) + sum of G(x+l, N) = 0 exactly."""
     reports = []
     for index, (x, a, n) in enumerate(telescope_cases(count, seed)):
-        t0 = time.perf_counter()
-        residual = sum_F(x, n) - sum_F(x + a, n) + sum_G_boundary(x, a, n)
-        observed = INFINITE if residual == 0 else 0
         ident: ParamItems = (("case", f"{index:02d}"), ("alpha", str(x)), ("a", a), ("N", n))
         reports.append(
-            VerificationReport("wz.telescope", ident, 1, observed, elapsed_ms=_ms(t0))
+            _identity_report(
+                "wz.telescope",
+                ident,
+                lambda: sum_F(x, n) - sum_F(x + a, n) + sum_G_boundary(x, a, n) == 0,
+            )
         )
     return canonical_sort(reports)

@@ -112,8 +112,10 @@ def sum_G_boundary(alpha: Rational, a: int, N: int) -> Rational:
     """Sum of G(alpha + l, N) over l = 0..a-1, exact.
 
     Consecutive values are related by one rational ratio, so the usual cost of a
-    full Pochhammer evaluation is paid once, not a times. Whenever a value is 0
-    the next value is recomputed directly.
+    full Pochhammer evaluation is paid once, not a times. For admissible input
+    G(x, N) is 0 exactly when x is an integer in [-(N-1), -1]. x rises by 1 per
+    step and never reaches 0, so once a value is 0 every later one is 0 too, and
+    the sum stops there (the ratio's denominator may vanish inside that range).
     """
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
@@ -135,11 +137,10 @@ def sum_G_boundary(alpha: Rational, a: int, N: int) -> Rational:
     cur = term_G(alpha, N)
     total = cur
     for l in range(1, a):
+        if cur == 0:
+            break
         x = alpha + l - 1
-        if cur != 0:
-            cur *= (N + 2 * x + 2) * (x + N) ** 3 * (half + x)
-            cur /= (N + 2 * x) * (x + 1) ** 3 * (half + x + N)
-        else:
-            cur = term_G(alpha + l, N)
+        cur *= (N + 2 * x + 2) * (x + N) ** 3 * (half + x)
+        cur /= (N + 2 * x) * (x + 1) ** 3 * (half + x + N)
         total += cur
     return total

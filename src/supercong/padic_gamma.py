@@ -2,7 +2,9 @@
 
 Gamma_p(0) = 1 and Gamma_p(n) = (-1)^n * prod of j for 0 < j < n, p not dividing j.
 Rational arguments are evaluated through their least residue mod p^M, which is
-correct mod p^M because Gamma_p is 1-Lipschitz in the p-adic metric.
+correct mod p^M because Gamma_p is 1-Lipschitz in the p-adic metric. Every value
+is read through gamma_quotient, the one public entry point: a single Gamma_p(x)
+is gamma_quotient([x], [], p, M).
 
 The product of the units below n is not multiplied out term by term. The units
 in a block [t p^(L+1), (t+1) p^(L+1)) multiply to a polynomial G_L(t), whose t^k
@@ -20,7 +22,6 @@ factorization of (x)_{p^r} into dash iterates and Gamma_p ratios lives here too.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,21 +41,6 @@ PRECISION_CAP = 10**6
 
 class PrecisionCapError(ValueError):
     """Requested modulus p^M exceeds the desk-scale cap on Gamma_p evaluation."""
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    """A Gamma_p value as a residue mod p^M. Gamma_p values are always p-adic units."""
-
-    residue: int
-    p: int
-    M: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.residue < self.p**self.M:
-            raise ValueError("residue out of range")
-        if self.residue % self.p == 0:
-            raise ValueError("Gamma_p values are p-adic units")
 
 
 def _check_modulus(p: int, M: int) -> int:
@@ -115,14 +101,11 @@ def _gamma_residue(n: int, p: int, M: int) -> int:
     return acc if n % 2 == 0 else -acc % pm
 
 
-def gamma_p(x: Rational, p: int, M: int) -> GammaValue:
-    """Gamma_p at a p-adic integer rational, via its integer representative mod p^M."""
-    _check_modulus(p, M)
-    return GammaValue(residue=_gamma_residue(residue(x, p, M), p, M), p=p, M=M)
-
-
 def gamma_quotient(numer: Iterable[Rational], denom: Iterable[Rational], p: int, M: int) -> int:
-    """Residue mod p^M of prod Gamma_p(a) over numer divided by prod Gamma_p(b) over denom."""
+    """Residue mod p^M of prod Gamma_p(a) over numer divided by prod Gamma_p(b) over denom.
+
+    The one Gamma_p entry point: Gamma_p(x) alone is gamma_quotient([x], [], p, M).
+    """
     pm = _check_modulus(p, M)
     top = bottom = 1
     for a in numer:

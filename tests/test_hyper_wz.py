@@ -158,7 +158,16 @@ def test_sum_g_boundary_reference_values():
 
 
 def test_sum_g_boundary_matches_term_sum():
-    for alpha, a, n in [(Rational(1, 4), 5, 7), (Rational(-7, 3), 4, 6), (Rational(5), 3, 4)]:
+    cases = [
+        (Rational(1, 4), 5, 7),
+        (Rational(-7, 3), 4, 6),
+        (Rational(5), 3, 4),
+        # G(-9 + l, 5) is 0 at l = 5, 6 and 7, the integers -4..-2 inside [-(N-1), -1]
+        (Rational(-9), 8, 5),
+        # G(-5 + l, 4) is 0 from l = 2 on; the step from x = -2 has N + 2x = 0 in its ratio
+        (Rational(-5), 5, 4),
+    ]
+    for alpha, a, n in cases:
         expected = sum(term_G(alpha + l, n) for l in range(a))
         assert sum_G_boundary(alpha, a, n) == expected
 

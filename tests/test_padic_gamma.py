@@ -14,7 +14,6 @@ from supercong import (
     PrimeRequiredError,
     Rational,
     dash_iter,
-    gamma_p,
     gamma_quotient,
     pochhammer,
     pochhammer_factorization,
@@ -30,30 +29,35 @@ moduli = st.sampled_from(
 )
 
 
+def gamma(x, p, M):
+    """Gamma_p(x) mod p^M through the one Gamma_p entry point."""
+    return gamma_quotient([x], [], p, M)
+
+
 def test_gamma_int_reference_values():
-    assert gamma_p(Rational(0), 5, 3).residue == 1
-    assert gamma_p(Rational(1), 5, 3).residue == 124
-    assert gamma_p(Rational(3), 5, 2).residue == 23
+    assert gamma(Rational(0), 5, 3) == 1
+    assert gamma(Rational(1), 5, 3) == 124
+    assert gamma(Rational(3), 5, 2) == 23
 
 
 def test_gamma_rational_reference_values():
-    assert gamma_p(Rational(2), 7, 2).residue == 1
-    assert gamma_p(Rational(1, 2), 5, 1).residue == 3
+    assert gamma(Rational(2), 7, 2) == 1
+    assert gamma(Rational(1, 2), 5, 1) == 3
 
 
 def test_gamma_is_invariant_under_full_modulus_shifts():
     for x in (Rational(1, 2), Rational(3, 4), Rational(11)):
-        assert gamma_p(x, 7, 2).residue == gamma_p(x + 49, 7, 2).residue
+        assert gamma(x, 7, 2) == gamma(x + 49, 7, 2)
 
 
 def test_gamma_input_validation():
     with pytest.raises(PadicDenominatorError):
-        gamma_p(Rational(1, 5), 5, 2)
+        gamma(Rational(1, 5), 5, 2)
     assert 101**3 > PRECISION_CAP
     with pytest.raises(PrecisionCapError):
-        gamma_p(Rational(1, 2), 101, 3)
+        gamma(Rational(1, 2), 101, 3)
     with pytest.raises(ValueError):
-        gamma_p(Rational(1, 2), 5, 0)
+        gamma(Rational(1, 2), 5, 0)
 
 
 def gamma_ratio(x, p, M):
@@ -70,9 +74,9 @@ def test_gamma_ratio_reference_values():
 def test_gamma_quotient_of_several_values():
     # Gamma_p(1/2) Gamma_p(1/4) / Gamma_p(3/4), the Gamma factor of VH_1_2 and SW_1_3
     pm = 7**3
-    num = gamma_p(Rational(1, 2), 7, 3).residue * gamma_p(Rational(1, 4), 7, 3).residue
+    num = gamma(Rational(1, 2), 7, 3) * gamma(Rational(1, 4), 7, 3)
     got = gamma_quotient([Rational(1, 2), Rational(1, 4)], [Rational(3, 4)], 7, 3)
-    assert got * gamma_p(Rational(3, 4), 7, 3).residue % pm == num % pm
+    assert got * gamma(Rational(3, 4), 7, 3) % pm == num % pm
     assert gamma_quotient([], [], 7, 3) == 1
     assert gamma_quotient([Rational(2, 3)], [Rational(2, 3)], 5, 2) == 1
     with pytest.raises(PrecisionCapError):
@@ -86,9 +90,9 @@ def test_gamma_quotient_of_several_values():
 
 @given(st.integers(min_value=0, max_value=300), primes, st.integers(min_value=1, max_value=3))
 def test_gamma_values_are_units(n, p, M):
-    value = gamma_p(Rational(n), p, M)
-    assert 0 <= value.residue < p**M
-    assert gcd(value.residue, p) == 1
+    value = gamma(Rational(n), p, M)
+    assert 0 <= value < p**M
+    assert gcd(value, p) == 1
 
 
 @given(rationals, primes, st.integers(min_value=1, max_value=3))
@@ -107,7 +111,7 @@ def test_ratio_law(x, p, M):
        st.integers(min_value=1, max_value=3))
 def test_lipschitz_continuity(x, t, p, M):
     assume(x.denominator % p != 0)
-    assert gamma_p(x, p, M).residue == gamma_p(x + t * p**M, p, M).residue
+    assert gamma(x, p, M) == gamma(x + t * p**M, p, M)
 
 
 def direct_gamma(n, p, M):
@@ -123,7 +127,7 @@ def direct_gamma(n, p, M):
 @pytest.mark.parametrize("p, M", [(2, 1), (2, 5), (3, 6), (5, 3), (7, 4), (13, 3)])
 def test_block_evaluation_matches_the_direct_product(p, M):
     for n in sorted({0, 1, p - 1, p, p + 1, p**M - 1}):
-        assert gamma_p(Rational(n), p, M).residue == direct_gamma(n, p, M)
+        assert gamma(Rational(n), p, M) == direct_gamma(n, p, M)
     # one polynomial of M coefficients per block level, and no table of p^M values
     levels = _block_levels(p, M)
     assert len(levels) == M - 1 and all(len(poly) == M for poly in levels)
@@ -133,11 +137,11 @@ def test_block_evaluation_matches_the_direct_product(p, M):
 def test_block_evaluation_matches_the_direct_product_at_random(modulus, data):
     p, M = modulus
     n = data.draw(st.integers(min_value=0, max_value=p**M - 1))
-    assert gamma_p(Rational(n), p, M).residue == direct_gamma(n, p, M)
+    assert gamma(Rational(n), p, M) == direct_gamma(n, p, M)
 
 
 def test_functional_equation_past_the_cap():
-    # 101^4 > PRECISION_CAP, so this reaches the evaluator behind gamma_p directly
+    # 101^4 > PRECISION_CAP, so this reaches the evaluator behind gamma_quotient directly
     p, M = 101, 4
     pm = p**M
     rng = random.Random(p)
@@ -158,7 +162,7 @@ def test_reflection_formula(p, M):
         if x.denominator % p == 0:
             continue
         x0 = residue(x, p, 1) or p
-        product = gamma_p(x, p, M).residue * gamma_p(1 - x, p, M).residue
+        product = gamma(x, p, M) * gamma(1 - x, p, M)
         assert product % p**M == (-1) ** x0 % p**M
         checked += 1
 

@@ -1,4 +1,4 @@
-"""The package's public names: everything exported is bound, everything bound is exported."""
+"""Public names: everything exported is bound and used, everything bound is exported."""
 
 import ast
 from pathlib import Path
@@ -22,3 +22,17 @@ def test_all_matches_the_names_init_imports():
     }
     assert len(supercong.__all__) == len(set(supercong.__all__))
     assert set(supercong.__all__) == bound
+
+
+def test_every_exported_name_is_used_by_the_package():
+    # a public name that only tests call is API the package does not need
+    used = set()
+    for path in Path(supercong.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(supercong.__all__) - used) == []

@@ -2,7 +2,8 @@
 
 Exit code 0 when every non-skipped, non-informational claim passes, 1 when
 any fails, 2 on usage errors (bad flags, malformed rationals, violated
-operation contracts), and otherwise 3 when a batch claim hit a capacity
+operation contracts) or when stdout closes before the reports are written
+(a broken pipe), and otherwise 3 when a batch claim hit a capacity
 limit (term guard or Gamma_p precision cap) and became an error report. A
 single claim that hits a capacity limit is a usage error. Hypothesis
 violations are skipped reports and leave the exit code untouched.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -254,8 +256,6 @@ def _execute(args: argparse.Namespace) -> list[VerificationReport]:
         return [probe_conjecture_7_1(args.p, args.r, force=args.force)]
 
     # batch
-    if args.parallel < 1:
-        raise ValueError("parallelism must be at least 1")
     if any(r < 1 for r in args.r_values):
         raise ValueError("r values must be positive")
     if args.p_min > args.p_max:
@@ -285,8 +285,14 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.buffer.write(stream)
-    sys.stdout.buffer.flush()
+    try:
+        sys.stdout.buffer.write(stream)
+        sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the reports were written", file=sys.stderr)
+        return 2
     outcomes = {rep.outcome for rep in reports}
     if "FAIL" in outcomes:
         return 1

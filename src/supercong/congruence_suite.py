@@ -716,7 +716,9 @@ def _run_claim(task: Callable[[], VerificationReport]) -> VerificationReport:
 
 
 def _run_tasks(tasks: list[partial], parallelism: int) -> list[VerificationReport]:
-    if parallelism <= 1:
+    if parallelism < 1:
+        raise ValueError("parallelism must be at least 1")
+    if parallelism == 1:
         return canonical_sort([_run_claim(task) for task in tasks])
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         chunk = max(1, len(tasks) // (parallelism * 4))

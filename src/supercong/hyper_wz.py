@@ -4,13 +4,15 @@ F(x, k) = (2k + x) (x)_k^3 (1/2)_k / ((1)_k^3 (1/2 + x)_k)
 G(x, k) = k^3 (k + 2x) / x^3 * (x)_k^3 (1/2)_k / ((1)_k^3 (1/2 + x)_k)
 
 F and G satisfy F(x+1, k) - F(x, k) = G(x, k+1) - G(x, k) exactly, which lets a
-shifted sum of F telescope into a boundary sum of G. F is the d = 1/2 case of
-the very-well-poised 5F4 summand that sum_F sums for any d. All sums are computed
-as exact rationals; individual summands are allowed to be non p-adic integers.
+shifted sum of F telescope into a boundary sum of G. F is the d = 1/2 case of the
+very-well-poised 5F4 summand that sum_F sums for any d. sum_F and sum_G_boundary run
+through one kernel, _well_poised_sum, whose term ratio is four linear factors over
+four. All sums are exact rationals; summands need not be p-adic integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact_core import Rational
@@ -86,6 +88,23 @@ def wz_residual(x: Rational, k: int) -> Rational:
     return term_F(x + 1, k) - term_F(x, k) - term_G(x, k + 1) + term_G(x, k)
 
 
+def _well_poised_sum(u: Rational, c: Rational, uppers: tuple, lowers: tuple, n: int) -> Rational:
+    # sum over i < n (n >= 1) of (u + 2i) c_i, c_0 = c, c_(i+1)/c_i = prod(a + i) / prod(b + i)
+    # over as many uppers as lowers, no (b + i) zero. Each ratio is one quotient of integers
+    # over D, the parameters' common denominator: one Fraction product per term.
+    D = math.lcm(*(q.denominator for q in uppers + lowers))
+    tops, bottoms = [int(a * D) for a in uppers], [int(b * D) for b in lowers]
+    total = Fraction(0)
+    for i in range(n - 1):
+        total += (u + 2 * i) * c
+        num = den = 1
+        for a, b in zip(tops, bottoms):
+            num *= a + i * D
+            den *= b + i * D
+        c *= Fraction(num, den)
+    return total + (u + 2 * n - 2) * c
+
+
 def sum_F(x: Rational, N: int, d: Rational = Fraction(1, 2)) -> Rational:
     """Whipple's very-well-poised 5F4 partial sum, computed incrementally in O(N) products.
 
@@ -99,23 +118,16 @@ def sum_F(x: Rational, N: int, d: Rational = Fraction(1, 2)) -> Rational:
     b = 1 + x - d
     if b.denominator == 1 and 0 <= -b < N - 1:
         raise PochhammerPoleError(f"(1 + {x} - {d})_{N - 1} has a zero factor at j = {-b}")
-    core = Fraction(1)
-    total = Fraction(0)
-    for k in range(N):
-        total += (2 * k + x) * core
-        if k < N - 1:
-            core *= (x + k) ** 3 * (d + k) / ((1 + k) ** 3 * (b + k))
-    return total
+    return _well_poised_sum(x, 1, (x, x, x, d), (1, 1, 1, b), N)
 
 
 def sum_G_boundary(alpha: Rational, a: int, N: int) -> Rational:
     """Sum of G(alpha + l, N) over l = 0..a-1, exact.
 
-    Consecutive values are related by one rational ratio, so the usual cost of a
-    full Pochhammer evaluation is paid once, not a times. For admissible input
-    G(x, N) is 0 exactly when x is an integer in [-(N-1), -1]. x rises by 1 per
-    step and never reaches 0, so once a value is 0 every later one is 0 too, and
-    the sum stops there (the ratio's denominator may vanish inside that range).
+    G(alpha + l, N) = N^3 (N + 2 alpha + 2l) h_l, where h_0 = core(alpha, N)/alpha^3 and
+    h_(l+1)/h_l = (alpha+N+l)^3 (1/2+alpha+l) / ((alpha+1+l)^3 (1/2+alpha+N+l)), so this
+    is sum_F's kernel too. The pole checks rule out every zero lower factor; a zero
+    term comes from h_0 or an upper factor, and the ratio keeps it zero.
     """
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
@@ -134,13 +146,5 @@ def sum_G_boundary(alpha: Rational, a: int, N: int) -> Rational:
         raise PochhammerPoleError(f"(1/2 + {alpha} + {bad_l})_{N} has a zero factor")
 
     half = Fraction(1, 2)
-    cur = term_G(alpha, N)
-    total = cur
-    for l in range(1, a):
-        if cur == 0:
-            break
-        x = alpha + l - 1
-        cur *= (N + 2 * x + 2) * (x + N) ** 3 * (half + x)
-        cur /= (N + 2 * x) * (x + 1) ** 3 * (half + x + N)
-        total += cur
-    return total
+    uppers, lowers = (alpha + N,) * 3 + (half + alpha,), (alpha + 1,) * 3 + (half + alpha + N,)
+    return N**3 * _well_poised_sum(N + 2 * alpha, _core(alpha, N) / alpha**3, uppers, lowers, a)

@@ -227,6 +227,20 @@ def test_module_entry_point_subprocess():
     assert proc.stdout == THEOREM_LINE
 
 
+def test_closed_stdout_exits_two_without_traceback():
+    # a reader that closes the pipe early is an error, not a failed claim
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "supercong.cli", "table1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.startswith(b"error: ") and len(err.splitlines()) == 1
+    assert b"Traceback" not in err
+
+
 def test_text_format_end_to_end(capfdbinary):
     assert run(THEOREM_ARGS + ["--format", "text"]) == 0
     out, _ = capfdbinary.readouterr()

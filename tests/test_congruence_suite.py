@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supercong import congruence_suite
 from supercong.congruence_suite import (
     DEFAULT_SEED,
     TERM_GUARD,
@@ -360,6 +361,13 @@ def test_batch_results_independent_of_parallelism():
     assert sum(rep.skipped_reason is not None for rep in serial) == 1
 
 
+def test_batches_reject_parallelism_below_one():
+    tasks = [(DashParams(1, 4, 3), 7, 1)]
+    for run_batch, parallelism in ((run_theorem_batch, 0), (run_lemma_batch, -5)):
+        with pytest.raises(ValueError, match="parallelism must be at least 1"):
+            run_batch(tasks, parallelism=parallelism)
+
+
 def test_lemma_batch_over_single_tuple():
     reports = run_lemma_batch([(DashParams(1, 4, 3), 7, 1)])
     assert len(reports) == 12
@@ -494,3 +502,26 @@ def test_canonical_sort_is_permutation_invariant(order):
     ]
     shuffled = [base[i] for i in order]
     assert canonical_sort(shuffled) == base
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_wrong_g_window_fails_theorem_and_lemma(monkeypatch, r):
+    # negative control: a right side off by p^(r+2) must be seen at exactly r + 2
+    params, p = DashParams(1, 4, 3), 7
+    g_window = congruence_suite._g_window
+    monkeypatch.setattr(
+        congruence_suite, "_g_window", lambda *args: g_window(*args) + p ** (r + 2)
+    )
+    for rep in (verify_theorem(params, p, r), verify_lemma("sum-g-window", params, p, r)):
+        assert rep.outcome == "FAIL", rep.claim
+        assert rep.observed_valuation == r + 2
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_wrong_sum_f_fails_dash_point_lemma(monkeypatch, r):
+    params, p = DashParams(1, 4, 3), 7
+    sum_f = congruence_suite.sum_F
+    monkeypatch.setattr(congruence_suite, "sum_F", lambda *args: sum_f(*args) + p ** (r + 2))
+    rep = verify_lemma("sum-f-dash-point", params, p, r)
+    assert rep.outcome == "FAIL"
+    assert rep.observed_valuation == r + 2

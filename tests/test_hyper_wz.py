@@ -164,7 +164,8 @@ def test_sum_g_boundary_matches_term_sum():
         (Rational(5), 3, 4),
         # G(-9 + l, 5) is 0 at l = 5, 6 and 7, the integers -4..-2 inside [-(N-1), -1]
         (Rational(-9), 8, 5),
-        # G(-5 + l, 4) is 0 from l = 2 on; the step from x = -2 has N + 2x = 0 in its ratio
+        # G(-5 + l, 4) is 0 from l = 2 on; N + 2x = 0 at x = -2. The term ratio no
+        # longer divides by N + 2x, but the case stays as a regression guard
         (Rational(-5), 5, 4),
     ]
     for alpha, a, n in cases:
@@ -177,6 +178,29 @@ def test_sum_g_boundary_pole_rejection():
         sum_G_boundary(Rational(-2), 4, 3)  # l = 2 hits x = 0
     with pytest.raises(PochhammerPoleError):
         sum_G_boundary(Rational(-5, 2), 2, 4)  # (1/2+x)_N vanishes at l = 0
+
+
+# negative integer alpha gives zero tails (G(x, N) = 0 for integer x in [-(N-1), -1]) and hits
+# x = 0; half-integers hit the (1/2 + x)_N poles
+boundary_alphas = st.one_of(
+    st.integers(min_value=-12, max_value=-1).map(Rational),
+    st.integers(min_value=-16, max_value=4).map(lambda k: Rational(2 * k + 1, 2)),
+    rationals,
+)
+
+
+@settings(max_examples=150)
+@given(
+    boundary_alphas, st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=12)
+)
+def test_sum_g_boundary_matches_term_sum_property(alpha, a, n):
+    try:
+        expected = sum(term_G(alpha + l, n) for l in range(a))
+    except PochhammerPoleError:
+        with pytest.raises(PochhammerPoleError):
+            sum_G_boundary(alpha, a, n)
+    else:
+        assert sum_G_boundary(alpha, a, n) == expected
 
 
 def test_harmonic_prime_square_vanishing():

@@ -256,10 +256,6 @@ def _execute(args: argparse.Namespace) -> list[VerificationReport]:
         return [probe_conjecture_7_1(args.p, args.r, force=args.force)]
 
     # batch
-    if any(r < 1 for r in args.r_values):
-        raise ValueError("r values must be positive")
-    if args.p_min > args.p_max:
-        raise ValueError("empty prime range")
     tasks = theorem_grid(
         r_values=args.r_values, count=args.count, p_min=args.p_min, p_max=args.p_max
     )

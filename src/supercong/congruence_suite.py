@@ -240,6 +240,14 @@ def _residue_gap_valuation(lhs: Rational, rhs_residue: int, p: int, m: int) -> V
     return valuation(Fraction(gap), p)
 
 
+def _gamma_side_gap(
+    lhs: Rational, coef: Rational, numer: list[Rational], denom: list[Rational], p: int, m: int
+) -> tuple[int, Valuation]:
+    """(m, v_p(lhs - coef * prod Gamma_p(numer) / prod Gamma_p(denom))), compared mod p^m."""
+    rhs_residue = residue(coef, p, m) * gamma_quotient(numer, denom, p, m) % p**m
+    return m, _residue_gap_valuation(lhs, rhs_residue, p, m)
+
+
 def _below_five(params: DashParams, p: int, r: int) -> str | None:
     return f"p={p} is below 5" if p < 5 else None
 
@@ -355,19 +363,16 @@ def _gz_gap_valuation(p: int, r: int) -> Valuation:
 def _observe_family(fam: Family, p: int, r: int, alpha: Fraction | None) -> tuple[int, Valuation]:
     if fam is Family.VH_1_2:
         lhs = 4 * sum_F(QUARTER, (p + 3) // 4, QUARTER)
-        rhs_res = p * gamma_quotient([HALF, QUARTER], [Fraction(3, 4)], p, 3) % p**3
-        return 3, _residue_gap_valuation(lhs, rhs_res, p, 3)
+        return _gamma_side_gap(lhs, p, [HALF, QUARTER], [Fraction(3, 4)], p, 3)
     if fam is Family.SW_1_3:
         lhs = 4 * sum_F(QUARTER, (3 * p + 3) // 4, QUARTER)
-        gammas = gamma_quotient([HALF, QUARTER], [Fraction(3, 4)], p, 4)
-        rhs_res = residue(Fraction(-3, 2) * p * p, p, 4) * gammas % p**4
-        return 4, _residue_gap_valuation(lhs, rhs_res, p, 4)
+        coef = Fraction(-3, 2) * p * p
+        return _gamma_side_gap(lhs, coef, [HALF, QUARTER], [Fraction(3, 4)], p, 4)
     if fam is Family.PTW_1_4:
         lhs = sum_F(alpha, p, alpha) / alpha
         astar = dash(alpha, p)
-        gammas = gamma_quotient([1 - 2 * alpha], [1 + alpha] + [1 - alpha] * 3, p, 4)
-        rhs_res = residue(p * p * astar * (2 * astar - 1), p, 4) * gammas % p**4
-        return 4, _residue_gap_valuation(lhs, rhs_res, p, 4)
+        coef = p * p * astar * (2 * astar - 1)
+        return _gamma_side_gap(lhs, coef, [1 - 2 * alpha], [1 + alpha] + [1 - alpha] * 3, p, 4)
     if fam is Family.GZ_1_5:
         return r + 3, _gz_gap_valuation(p, r)
     return r + 3, valuation(2 * sum_F(HALF, p**r) - p**r, p)
@@ -479,13 +484,13 @@ def _check_half_shift_ratio(params: DashParams, p: int, r: int) -> tuple[int, Va
     return 1, worst
 
 
+def _harmonic_halves(m: int, scale: Rational, p: int) -> Valuation:
+    """The smaller of v_p(scale * H^(2)_n) at n = m - 1 and n = (m - 1)/2."""
+    return min(valuation(scale * harmonic(n, 2), p) for n in (m - 1, (m - 1) // 2))
+
+
 def _check_harmonic_square_scaled(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
-    scale = p ** (2 * r)
-    observed = min(
-        valuation(scale * harmonic(p**r - 1, 2), p),
-        valuation(scale * harmonic((p**r - 1) // 2, 2), p),
-    )
-    return 3, observed
+    return 3, _harmonic_halves(p**r, p ** (2 * r), p)
 
 
 def _check_harmonic_shift(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
@@ -510,11 +515,7 @@ def _check_sum_g_window(params: DashParams, p: int, r: int) -> tuple[int, Valuat
 
 
 def _check_harmonic_prime(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
-    observed = min(
-        valuation(harmonic(p - 1, 2), p),
-        valuation(harmonic((p - 1) // 2, 2), p),
-    )
-    return 1, observed
+    return 1, _harmonic_halves(p, 1, p)
 
 
 # check -> (skip reason, (required, observed)), both taking (params, p, r)
@@ -572,40 +573,21 @@ def probe_conjecture_7_1(p: int, r: int, force: bool = False) -> VerificationRep
     return _verify("conjecture-probe", ident, p, r, force, skip, observe, informational=True)
 
 
-def _row_sign(r: int) -> int:
-    return (-1) ** r
-
-
-_TABLE_ROWS: tuple[tuple[int, int, Fraction], ...] = (
-    (2, 1, Fraction(1, 2)),
-    (3, 1, Fraction(1, 3)),
-    (3, 1, Fraction(2, 3)),
-    (3, 1, Fraction(1, 6)),
-    (3, 1, Fraction(5, 6)),
-    (3, 2, Fraction(1, 3)),
-    (3, 2, Fraction(2, 3)),
-    (3, 2, Fraction(1, 6)),
-    (3, 2, Fraction(5, 6)),
-    (4, 1, Fraction(1, 4)),
-    (4, 1, Fraction(3, 4)),
-    (4, 3, Fraction(1, 4)),
-    (4, 3, Fraction(3, 4)),
-)
-
-_TABLE_EXPECTED = (
-    lambda r: (Fraction(1, 2), Fraction(1)),
-    lambda r: (Fraction(1, 3), Fraction(5, 6)),
-    lambda r: (Fraction(2, 3), Fraction(1, 6)),
-    lambda r: (Fraction(1, 6), Fraction(2, 3)),
-    lambda r: (Fraction(5, 6), Fraction(1, 3)),
-    lambda r: (Fraction(3 - _row_sign(r), 6), Fraction(3 + 2 * _row_sign(r), 6)),
-    lambda r: (Fraction(3 + _row_sign(r), 6), Fraction(3 - 2 * _row_sign(r), 6)),
-    lambda r: (Fraction(3 - 2 * _row_sign(r), 6), Fraction(3 + _row_sign(r), 6)),
-    lambda r: (Fraction(3 + 2 * _row_sign(r), 6), Fraction(3 - _row_sign(r), 6)),
-    lambda r: (Fraction(1, 4), Fraction(3, 4)),
-    lambda r: (Fraction(3, 4), Fraction(1, 4)),
-    lambda r: (Fraction(2 - _row_sign(r), 4), Fraction(2 + _row_sign(r), 4)),
-    lambda r: (Fraction(2 + _row_sign(r), 4), Fraction(2 - _row_sign(r), 4)),
+# (d, s, alpha, e -> the tabulated (alpha^(*r), (1/2 + alpha)^(*r))) with e = (-1)^r
+_TABLE_1: tuple[tuple[int, int, Fraction, Callable[[int], tuple[Fraction, Fraction]]], ...] = (
+    (2, 1, Fraction(1, 2), lambda e: (Fraction(1, 2), Fraction(1))),
+    (3, 1, Fraction(1, 3), lambda e: (Fraction(1, 3), Fraction(5, 6))),
+    (3, 1, Fraction(2, 3), lambda e: (Fraction(2, 3), Fraction(1, 6))),
+    (3, 1, Fraction(1, 6), lambda e: (Fraction(1, 6), Fraction(2, 3))),
+    (3, 1, Fraction(5, 6), lambda e: (Fraction(5, 6), Fraction(1, 3))),
+    (3, 2, Fraction(1, 3), lambda e: (Fraction(3 - e, 6), Fraction(3 + 2 * e, 6))),
+    (3, 2, Fraction(2, 3), lambda e: (Fraction(3 + e, 6), Fraction(3 - 2 * e, 6))),
+    (3, 2, Fraction(1, 6), lambda e: (Fraction(3 - 2 * e, 6), Fraction(3 + e, 6))),
+    (3, 2, Fraction(5, 6), lambda e: (Fraction(3 + 2 * e, 6), Fraction(3 - e, 6))),
+    (4, 1, Fraction(1, 4), lambda e: (Fraction(1, 4), Fraction(3, 4))),
+    (4, 1, Fraction(3, 4), lambda e: (Fraction(3, 4), Fraction(1, 4))),
+    (4, 3, Fraction(1, 4), lambda e: (Fraction(2 - e, 4), Fraction(2 + e, 4))),
+    (4, 3, Fraction(3, 4), lambda e: (Fraction(2 + e, 4), Fraction(2 - e, 4))),
 )
 
 
@@ -642,7 +624,7 @@ def _table_row_holds(
 ) -> bool:
     """The closed-form r-th iterates of alpha and 1/2 + alpha equal the tabulated pair."""
     got = tuple(_closed_iterate_in_class(x, d, s, r) for x in (alpha, HALF + alpha))
-    return got == expected(r)
+    return got == expected((-1) ** r)
 
 
 def reproduce_table_1() -> list[VerificationReport]:
@@ -652,7 +634,7 @@ def reproduce_table_1() -> list[VerificationReport]:
     equal the tabulated values, which depend on r only through (-1)^r.
     """
     reports = []
-    for index, ((d, s, alpha), expected) in enumerate(zip(_TABLE_ROWS, _TABLE_EXPECTED), 1):
+    for index, (d, s, alpha, expected) in enumerate(_TABLE_1, 1):
         for r in (1, 2):
             ident: ParamItems = (
                 ("row", f"{index:02d}"),
@@ -667,7 +649,7 @@ def reproduce_table_1() -> list[VerificationReport]:
 
 
 THEOREM_ROWS: tuple[DashParams, ...] = tuple(
-    _effective_class(alpha, d, s) for d, s, alpha in _TABLE_ROWS
+    _effective_class(alpha, d, s) for d, s, alpha, _ in _TABLE_1
 )
 
 
@@ -679,6 +661,8 @@ def admissible_primes(
     p_max: int = 2_000,
 ) -> list[int]:
     """The first `count` primes satisfying every hypothesis at (params, r)."""
+    if r < 1:
+        raise ValueError(f"r must be positive, got {r}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     found: list[int] = []
@@ -698,7 +682,13 @@ def theorem_grid(
     p_min: int = 5,
     p_max: int = 2_000,
 ) -> list[tuple[DashParams, int, int]]:
-    """(params, p, r) tasks: each of THEOREM_ROWS at each r with its admissible primes."""
+    """(params, p, r) tasks: each of THEOREM_ROWS at each distinct, positive r, at its primes."""
+    if any(r < 1 for r in r_values):
+        raise ValueError("r values must be positive")
+    if len(set(r_values)) < len(r_values):
+        raise ValueError("r values must be distinct")
+    if p_min > p_max:
+        raise ValueError("empty prime range")
     tasks = []
     for params in THEOREM_ROWS:
         for r in r_values:

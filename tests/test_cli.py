@@ -175,6 +175,7 @@ def test_run_config_validation(capfdbinary):
     for flags in (
         ["--parallel", "0"],
         ["--r-values", "1,0"],
+        ["--r-values", "1,1"],
         ["--r-values", ","],
         ["--p-min", "100", "--p-max", "50"],
         ["--format", "xml"],

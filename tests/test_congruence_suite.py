@@ -97,6 +97,8 @@ def test_admissible_primes_options():
         admissible_primes(DashParams(1, 2, 1), 1, count=3, p_max=8)
     with pytest.raises(ValueError, match="count must be positive"):
         admissible_primes(DashParams(1, 2, 1), 1, count=-1)
+    with pytest.raises(ValueError, match="r must be positive"):
+        admissible_primes(DashParams(1, 4, 3), 0)
 
 
 def test_theorem_grid_shape():
@@ -107,6 +109,19 @@ def test_theorem_grid_shape():
     assert (DashParams(1, 4, 3), 7, 1) in tasks
     assert (DashParams(3, 4, 1), 13, 2) in tasks
     assert all(r in (1, 2) for _, _, r in tasks)
+
+
+def test_theorem_grid_rejects_bad_r_values_and_prime_range():
+    # each is refused before any task is built, not when the task runs
+    with pytest.raises(ValueError, match="r values must be positive"):
+        theorem_grid(r_values=(0,), count=1)
+    with pytest.raises(ValueError, match="r values must be positive"):
+        theorem_grid(r_values=(1, -2), count=1)
+    with pytest.raises(ValueError, match="r values must be distinct"):
+        theorem_grid(r_values=(1, 1), count=1)
+    with pytest.raises(ValueError, match="empty prime range"):
+        theorem_grid(count=1, p_min=100, p_max=50)
+    assert len(theorem_grid(r_values=(2, 1), count=1)) == 26
 
 
 def test_corollary_reference_values():
@@ -525,3 +540,58 @@ def test_wrong_sum_f_fails_dash_point_lemma(monkeypatch, r):
     rep = verify_lemma("sum-f-dash-point", params, p, r)
     assert rep.outcome == "FAIL"
     assert rep.observed_valuation == r + 2
+
+
+@pytest.mark.parametrize(
+    "family, p, alpha, observed",
+    [(Family.VH_1_2, 13, None, 2), (Family.SW_1_3, 7, None, 3), (Family.PTW_1_4, 7, "2/3", 3)],
+)
+def test_shifted_sum_fails_gamma_side_family(monkeypatch, family, p, alpha, observed):
+    # negative control: the Gamma_p side is known only mod p^m, so a sum off by
+    # p^(m-1) must be seen at m - 1 and not hidden by the cap at m
+    assert verify_family(family, p, 1, alpha).outcome == "PASS"
+    m = observed + 1
+    sum_f = congruence_suite.sum_F
+    monkeypatch.setattr(congruence_suite, "sum_F", lambda *args: sum_f(*args) + p ** (m - 1))
+    rep = verify_family(family, p, 1, alpha)
+    assert (rep.outcome, rep.required_exponent, rep.observed_valuation) == ("FAIL", m, observed)
+
+
+@pytest.mark.parametrize("r, required, observed", [(1, 3, 1), (2, 2, 0)])
+def test_scaled_pochhammer_fails_pochhammer_unit(monkeypatch, r, required, observed):
+    # r = 1 takes the unit branch; at r = 2 alpha^(*2) = 5/6 is not a unit at p = 5
+    params, p = DashParams(5, 6, 5), 5
+    assert verify_lemma(LemmaCheck.POCHHAMMER_UNIT, params, p, r).outcome == "PASS"
+    pochhammer = congruence_suite.pochhammer
+    monkeypatch.setattr(congruence_suite, "pochhammer", lambda *args: p * pochhammer(*args))
+    rep = verify_lemma(LemmaCheck.POCHHAMMER_UNIT, params, p, r)
+    assert (rep.outcome, rep.observed_valuation) == ("FAIL", observed)
+    assert rep.required_exponent == required
+
+
+@pytest.mark.parametrize("shifted", [None, 3, 6])
+def test_shifted_harmonic_fails_both_harmonic_halves_lemmas(monkeypatch, shifted):
+    # shifting H^(2)_n at every n, or only at one of n = (p - 1)/2 and n = p - 1
+    params, p = DashParams(1, 4, 3), 7
+    checks = {LemmaCheck.HARMONIC_PRIME: 0, LemmaCheck.HARMONIC_SQUARE_SCALED: 2}
+    assert all(verify_lemma(check, params, p, 1).outcome == "PASS" for check in checks)
+    harmonic_ = congruence_suite.harmonic
+    monkeypatch.setattr(
+        congruence_suite, "harmonic", lambda n, k: harmonic_(n, k) + (shifted in (None, n))
+    )
+    for check, observed in checks.items():
+        rep = verify_lemma(check, params, p, 1)
+        assert (rep.outcome, rep.observed_valuation) == ("FAIL", observed), check
+
+
+def test_flipped_sign_fails_its_table_row_only(monkeypatch):
+    rows = list(congruence_suite._TABLE_1)
+    d, s, alpha, expected = rows[5]
+    rows[5] = (d, s, alpha, lambda e: expected(-e))
+    monkeypatch.setattr(congruence_suite, "_TABLE_1", tuple(rows))
+    reports = reproduce_table_1()
+    failed = [rep for rep in reports if rep.outcome == "FAIL"]
+    assert [dict(rep.params)["r"] for rep in failed] == [1, 2]
+    assert all(dict(rep.params)["row"] == "06" for rep in failed)
+    assert all(rep.observed_valuation == 0 for rep in failed)
+    assert sum(rep.outcome == "PASS" for rep in reports) == 24

@@ -39,9 +39,6 @@ from .congruence_suite import (
 from .dwork import DashParams
 from .exact_core import INFINITE
 
-FORMATS = ("json", "tsv", "text")
-
-
 # outcome -> (summary label, text line after "<outcome> <claim> (<params>): ")
 _TEXT = {
     "PASS": ("passed", "v={observed_valuation} >= {required_exponent}"),
@@ -121,6 +118,10 @@ def _text_lines(reports: list[VerificationReport], include_timings: bool) -> str
     return "\n".join(lines) + "\n" + summary + "\n"
 
 
+# --format value -> renderer of (reports, include_timings)
+_RENDERERS = {"json": _json_lines, "tsv": _tsv_lines, "text": _text_lines}
+
+
 def emit_report(
     reports: list[VerificationReport],
     output_format: str = "json",
@@ -136,16 +137,9 @@ def emit_report(
     """
     if not reports:
         raise ValueError("no reports to emit")
-    reports = canonical_sort(reports)
-    if output_format == "json":
-        text = _json_lines(reports, include_timings)
-    elif output_format == "tsv":
-        text = _tsv_lines(reports, include_timings)
-    elif output_format == "text":
-        text = _text_lines(reports, include_timings)
-    else:
+    if output_format not in _RENDERERS:
         raise ValueError(f"unknown format {output_format!r}")
-    return text.encode()
+    return _RENDERERS[output_format](canonical_sort(reports), include_timings).encode()
 
 
 def _rational(text: str) -> Fraction:
@@ -178,7 +172,7 @@ def _add_p_r(parser: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=FORMATS, default="json", help="report format")
+    output.add_argument("--format", choices=_RENDERERS, default="json", help="report format")
     output.add_argument(
         "--timings", action="store_true", help="include elapsed milliseconds in reports"
     )
@@ -271,10 +265,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        # argparse exits 0 after --help and 2 on a usage error
+        return exc.code
     try:
         reports = _execute(args)
         stream = emit_report(reports, args.format, args.timings)

@@ -61,6 +61,10 @@ class ResourceGuardError(RuntimeError):
     """A requested run exceeds the desk-scale guardrails and force is not set."""
 
 
+# `_verify` attaches an error report to these and a batch keeps it; both read this one tuple
+_CAPACITY_ERRORS = (ResourceGuardError, PrecisionCapError)
+
+
 class Family(Enum):
     """Named supercongruence families.
 
@@ -153,14 +157,10 @@ class VerificationReport:
         """The verdict of a verified report; None for the other outcomes."""
         return {"PASS": True, "FAIL": False}.get(self.outcome)
 
-    @property
-    def sort_key(self) -> tuple[str, ParamItems]:
-        return (self.claim, self.params)
-
 
 def canonical_sort(reports: list[VerificationReport]) -> list[VerificationReport]:
     """Reports in canonical order (claim id, then parameter tuple)."""
-    return sorted(reports, key=lambda rep: rep.sort_key)
+    return sorted(reports, key=lambda rep: (rep.claim, rep.params))
 
 
 def _ms(t0: float) -> float:
@@ -205,7 +205,7 @@ def _verify(
                 f"{p**r} terms exceeds the {TERM_GUARD}-term guard; set force to override"
             )
         required, observed = observe()
-    except (ResourceGuardError, PrecisionCapError) as exc:
+    except _CAPACITY_ERRORS as exc:
         error = f"{type(exc).__name__}: {exc}"
         exc.report = VerificationReport(claim, ident, elapsed_ms=_ms(t0), error=error)
         raise
@@ -405,18 +405,19 @@ def verify_family(
     return _verify(f"family.{fam.value}", ident, p, r, force, skip, observe)
 
 
-def _all_equal(pairs: list[tuple[Rational, Rational]]) -> Valuation:
-    return _exact(all(lhs == rhs for lhs, rhs in pairs))
+def _iterates_match(params: DashParams, p: int, ns: list[int] | range) -> bool:
+    """The n-th dash iterate of alpha equals the closed form <s^-n c>_d / d at every n in ns."""
+    iterates = dash_iterates(params.alpha, p, max(ns))
+    return all(iterates[n] == dash_closed_form(params, n) for n in ns)
 
 
 def _check_dash_closed_form(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
-    return 1, _all_equal([(dash(params.alpha, p), dash_closed_form(params, 1))])
+    return 1, _exact(_iterates_match(params, p, [1]))
 
 
 def _check_dash_iterates(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
-    iterates = dash_iterates(params.alpha, p, max(r, dash_period(params.d, params.s)))
-    pairs = [(x, dash_closed_form(params, n)) for n, x in enumerate(iterates[1:], 1)]
-    return 1, _all_equal(pairs)
+    ns = range(1, max(r, dash_period(params.d, params.s)) + 1)
+    return 1, _exact(_iterates_match(params, p, ns))
 
 
 def _check_dash_period(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
@@ -427,13 +428,8 @@ def _check_dash_period(params: DashParams, p: int, r: int) -> tuple[int, Valuati
 
 def _check_dash_residue(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     alpha = params.alpha
-    iterate = dash_iter(alpha, p, r)
-    a = residue(-alpha, p, r)
-    pairs = [
-        (iterate, dash_closed_form(params, r)),
-        (iterate, (alpha + a) / p**r),
-    ]
-    return 1, _all_equal(pairs)
+    shifted = (alpha + residue(-alpha, p, r)) / p**r
+    return 1, _exact(_iterates_match(params, p, [r]) and dash_iter(alpha, p, r) == shifted)
 
 
 def _check_dash_max_multiple(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
@@ -701,17 +697,19 @@ def _run_claim(task: Callable[[], VerificationReport]) -> VerificationReport:
     """One batch task's report; a capacity error becomes the claim's error report."""
     try:
         return task()
-    except (ResourceGuardError, PrecisionCapError) as exc:
+    except _CAPACITY_ERRORS as exc:
         return exc.report
 
 
 def _run_tasks(tasks: list[partial], parallelism: int) -> list[VerificationReport]:
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
-    if parallelism == 1:
+    # a fork pool starts every worker at its first submit, so never ask for more than tasks
+    workers = min(parallelism, len(tasks))
+    if workers <= 1:
         return canonical_sort([_run_claim(task) for task in tasks])
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        chunk = max(1, len(tasks) // (parallelism * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(tasks) // (workers * 4))
         return canonical_sort(list(pool.map(_run_claim, tasks, chunksize=chunk)))
 
 

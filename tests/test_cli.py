@@ -177,6 +177,7 @@ def test_run_config_validation(capfdbinary):
         ["--r-values", "1,0"],
         ["--r-values", "1,1"],
         ["--r-values", ","],
+        ["--r-values", "1,x"],
         ["--p-min", "100", "--p-max", "50"],
         ["--format", "xml"],
         ["--count", "-1"],
@@ -185,6 +186,24 @@ def test_run_config_validation(capfdbinary):
         out, err = capfdbinary.readouterr()
         assert out == b""
         assert err
+
+
+def test_help_exits_zero(capfdbinary):
+    assert run(["--help"]) == 0
+    out, _ = capfdbinary.readouterr()
+    assert out.startswith(b"usage: supercong")
+
+
+def test_force_flag_overrides_the_resource_guard(capfdbinary):
+    # 151^2 terms exceed the guard, but the closed-form check costs O(r)
+    args = ["verify", "lemma", "--name", "dash-closed-form",
+            "--c", "1", "--d", "4", "--s", "3", "--p", "151", "--r", "2"]
+    assert run(args) == 2
+    out, err = capfdbinary.readouterr()
+    assert out == b"" and b"guard" in err
+    assert run(args + ["--force"]) == 0
+    out, _ = capfdbinary.readouterr()
+    assert json.loads(out)["pass"] is True
 
 
 def test_parallel_env_is_ignored(monkeypatch, capfdbinary):

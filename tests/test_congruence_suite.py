@@ -191,6 +191,8 @@ def test_family_skip_reasons():
     assert rep.skipped_reason == "residue of -alpha is 4, below (p+1)/2"
     rep = verify_family(Family.PTW_1_4, 7, 1, alpha=Fraction(1, 7))
     assert rep.skipped_reason == "alpha is not a p-adic integer"
+    rep = verify_family(Family.PTW_1_4, 2, 1, alpha=Fraction(2, 3))
+    assert rep.skipped_reason == "p=2 is even"
 
 
 def test_family_alpha_misuse():
@@ -250,6 +252,8 @@ def test_pochhammer_unit_beyond_p_to_the_r_plus_m():
 def test_lemma_skip_reasons():
     rep = verify_lemma(LemmaCheck.DASH_CLOSED_FORM, DashParams(1, 4, 3), 13, 1)
     assert rep.skipped_reason == "p=13 is not congruent to 3 mod 4"
+    rep = verify_lemma(LemmaCheck.DASH_CLOSED_FORM, DashParams(1, 3, 2), 2, 1)
+    assert rep.skipped_reason == "p=2 is even"
     rep = verify_lemma(LemmaCheck.HARMONIC_SQUARE_SCALED, DashParams(1, 4, 3), 3, 1)
     assert rep.skipped_reason == "p=3 is below 5"
     rep = verify_lemma(LemmaCheck.POCHHAMMER_UNIT, DashParams(1, 3, 1), 3, 1)
@@ -383,6 +387,31 @@ def test_batches_reject_parallelism_below_one():
             run_batch(tasks, parallelism=parallelism)
 
 
+@pytest.mark.parametrize("count, parallelism, pools", [(3, 64, [3]), (1, 8, [])])
+def test_pool_never_starts_more_workers_than_tasks(monkeypatch, count, parallelism, pools):
+    # a fork pool starts all its workers at once; this fake records the size and starts none
+    built = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(congruence_suite, "ProcessPoolExecutor", RecordingPool)
+    tasks = [(DashParams(1, 4, 3), 7, 1), (DashParams(1, 2, 1), 5, 1), (DashParams(1, 4, 3), 11, 1)]
+    reports = run_theorem_batch(tasks[:count], parallelism)
+    assert [rep.outcome for rep in reports] == ["PASS"] * count
+    assert built == pools
+
+
 def test_lemma_batch_over_single_tuple():
     reports = run_lemma_batch([(DashParams(1, 4, 3), 7, 1)])
     assert len(reports) == 12
@@ -420,6 +449,13 @@ def test_telescope_cases_seeded_and_bounded():
         assert pole is None or pole >= n + a - 1
 
 
+def test_wz_fuzz_cases_drop_inadmissible_draws():
+    # seed 38 draws a zero numerator and x = -5/2 with k = 13, a pole of (1/2 + x)_(k+1)
+    for x, k in wz_fuzz_cases(50, seed=38):
+        pole = half_pole_index(x)
+        assert x != 0 and (pole is None or pole > k)
+
+
 def test_run_wz_fuzz_small():
     reports = run_wz_fuzz(25)
     assert len(reports) == 25
@@ -445,6 +481,15 @@ def test_resource_guard():
     with pytest.raises(ResourceGuardError):
         probe_conjecture_7_1(149, 2)
     assert 211**2 > TERM_GUARD  # the guard is what these runs trip
+
+
+def test_force_overrides_the_resource_guard():
+    # 151^2 terms exceed the guard, but the closed-form check costs O(r)
+    params = DashParams(1, 4, 3)
+    with pytest.raises(ResourceGuardError):
+        verify_lemma(LemmaCheck.DASH_CLOSED_FORM, params, 151, 2)
+    rep = verify_lemma(LemmaCheck.DASH_CLOSED_FORM, params, 151, 2, force=True)
+    assert rep.outcome == "PASS"
 
 
 def test_capacity_error_becomes_a_batch_report():
@@ -595,3 +640,131 @@ def test_flipped_sign_fails_its_table_row_only(monkeypatch):
     assert all(dict(rep.params)["row"] == "06" for rep in failed)
     assert all(rep.observed_valuation == 0 for rep in failed)
     assert sum(rep.outcome == "PASS" for rep in reports) == 24
+
+
+@pytest.mark.parametrize(
+    "p, r, patched, observed",
+    [(7, 1, "harmonic", 3), (3, 1, "sum_F", 3), (3, 3, "sum_F", 5)],
+)
+def test_shifted_side_fails_corollary(monkeypatch, p, r, patched, observed):
+    # at p = 3 the check takes its own branch: the sum against 3^(r+1)
+    assert verify_corollary(p, r).outcome == "PASS"
+    original = getattr(congruence_suite, patched)
+    shift = 1 if patched == "harmonic" else p ** (r + 2)
+    monkeypatch.setattr(congruence_suite, patched, lambda *args: original(*args) + shift)
+    rep = verify_corollary(p, r)
+    assert (rep.outcome, rep.observed_valuation) == ("FAIL", observed)
+
+
+@pytest.mark.parametrize("family, p", [(Family.GZ_1_5, 5), (Family.C2_1_9, 7)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_shifted_sum_fails_power_of_p_family(monkeypatch, family, p, r):
+    assert verify_family(family, p, r).outcome == "PASS"
+    sum_f = congruence_suite.sum_F
+    monkeypatch.setattr(congruence_suite, "sum_F", lambda *args: sum_f(*args) + p ** (r + 2))
+    rep = verify_family(family, p, r)
+    assert (rep.outcome, rep.observed_valuation) == ("FAIL", r + 2)
+
+
+@pytest.mark.parametrize(
+    "family, p, alpha, precision",
+    [
+        (Family.SW_1_3, 7, None, 5),
+        (Family.SW_1_3, 11, None, 5),
+        (Family.PTW_1_4, 7, "2/3", 5),
+        (Family.VH_1_2, 5, None, 4),
+        (Family.VH_1_2, 13, None, 4),
+        (Family.VH_1_2, 17, None, 4),
+        (Family.VH_1_2, 29, None, 4),
+        (Family.VH_1_2, 5, None, 5),
+        (Family.VH_1_2, 13, None, 5),
+    ],
+)
+def test_gamma_side_gap_past_the_stated_exponent(monkeypatch, family, p, alpha, precision):
+    # each Gamma_p right side holds to exactly p^4: SW_1_3 and PTW_1_4 at their stated
+    # exponent 4, VH_1_2 one power above its stated 3
+    gap = congruence_suite._gamma_side_gap
+    monkeypatch.setattr(
+        congruence_suite, "_gamma_side_gap", lambda *args: gap(*args[:-1], precision)
+    )
+    rep = verify_family(family, p, 1, alpha)
+    assert (rep.required_exponent, rep.observed_valuation) == (precision, 4)
+    assert rep.outcome == ("PASS" if precision == 4 else "FAIL")
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_shifted_closed_form_fails_every_dash_identity(monkeypatch, r):
+    params, p = DashParams(1, 4, 3), 7
+    checks = (LemmaCheck.DASH_CLOSED_FORM, LemmaCheck.DASH_ITERATES, LemmaCheck.DASH_LEAST_RESIDUE)
+    assert all(verify_lemma(check, params, p, r).outcome == "PASS" for check in checks)
+    closed_form = congruence_suite.dash_closed_form
+    monkeypatch.setattr(
+        congruence_suite, "dash_closed_form", lambda *args: closed_form(*args) + 1
+    )
+    for check in checks:
+        rep = verify_lemma(check, params, p, r)
+        assert (rep.outcome, rep.observed_valuation) == ("FAIL", 0), check
+
+
+@pytest.mark.parametrize("wrong_period", [lambda n: 2 * n, lambda n: n + 1])
+@pytest.mark.parametrize("r", [1, 2])
+def test_wrong_period_fails_dash_period(monkeypatch, wrong_period, r):
+    # twice the period revisits alpha too early; one more step never returns to it
+    params, p = DashParams(1, 4, 3), 7
+    assert verify_lemma(LemmaCheck.DASH_PERIOD, params, p, r).outcome == "PASS"
+    period = congruence_suite.dash_period
+    monkeypatch.setattr(
+        congruence_suite, "dash_period", lambda d, s: wrong_period(period(d, s))
+    )
+    rep = verify_lemma(LemmaCheck.DASH_PERIOD, params, p, r)
+    assert (rep.outcome, rep.observed_valuation) == ("FAIL", 0)
+
+
+@pytest.mark.parametrize(
+    "params, p, r",
+    [(DashParams(1, 4, 3), 7, 2), (DashParams(1, 4, 3), 7, 3), (DashParams(1, 3, 2), 11, 2)],
+)
+def test_shifted_maximum_fails_dash_max_multiple(monkeypatch, params, p, r):
+    # at r = 1 there is no j to check, so the control needs r >= 2
+    assert verify_lemma(LemmaCheck.DASH_MAX_MULTIPLE, params, p, r).outcome == "PASS"
+    as_int = congruence_suite._as_int
+    monkeypatch.setattr(
+        congruence_suite,
+        "_as_int",
+        lambda q, what: as_int(q, what) + (what == "claimed maximum"),
+    )
+    rep = verify_lemma(LemmaCheck.DASH_MAX_MULTIPLE, params, p, r)
+    assert (rep.outcome, rep.observed_valuation) == ("FAIL", 0)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_shifted_iterate_fails_half_shift_ratio(monkeypatch, p):
+    # at r = 2 the shifted iterate trips the theorem's hypotheses, so the control stays at r = 1
+    params = DashParams(1, 4, 3)
+    assert verify_lemma(LemmaCheck.HALF_SHIFT_RATIO, params, p, 1).outcome == "PASS"
+    dash_iter_ = congruence_suite.dash_iter
+    monkeypatch.setattr(
+        congruence_suite,
+        "dash_iter",
+        lambda x, p, n: dash_iter_(x, p, n) + (x == params.alpha),
+    )
+    rep = verify_lemma(LemmaCheck.HALF_SHIFT_RATIO, params, p, 1)
+    assert (rep.outcome, rep.observed_valuation) == ("FAIL", 0)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_shifted_harmonic_fails_harmonic_shift(monkeypatch, r):
+    params, p = DashParams(1, 4, 3), 7
+    assert verify_lemma(LemmaCheck.HARMONIC_SHIFT, params, p, r).outcome == "PASS"
+    harmonic_ = congruence_suite.harmonic
+    monkeypatch.setattr(congruence_suite, "harmonic", lambda n, k: harmonic_(n, k) + 1)
+    rep = verify_lemma(LemmaCheck.HARMONIC_SHIFT, params, p, r)
+    assert (rep.outcome, rep.observed_valuation) == ("FAIL", 2)
+
+
+def test_wrong_sides_fail_both_fuzzers(monkeypatch):
+    sum_g = congruence_suite.sum_G_boundary
+    monkeypatch.setattr(congruence_suite, "wz_residual", lambda x, k: 1)
+    monkeypatch.setattr(congruence_suite, "sum_G_boundary", lambda *args: sum_g(*args) + 1)
+    for reports in (run_wz_fuzz(3), run_telescope_fuzz(3)):
+        assert [(rep.outcome, rep.observed_valuation) for rep in reports] == [("FAIL", 0)] * 3

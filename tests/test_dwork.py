@@ -78,6 +78,8 @@ def test_dash_closed_form_reference_values():
     assert dash_closed_form(DashParams(1, 3, 2), 1) == Rational(2, 3)
     for n in range(7):
         assert dash_closed_form(DashParams(3, 8, 1), n) == Rational(3, 8)
+    with pytest.raises(ValueError, match="iteration count"):
+        dash_closed_form(DashParams(1, 4, 3), -1)
 
 
 def test_dash_period_reference_values():
@@ -86,6 +88,8 @@ def test_dash_period_reference_values():
     assert dash_period(7, 3) == 6
     with pytest.raises(NonInvertibleError):
         dash_period(9, 3)
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        dash_period(1, 1)
 
 
 def test_params_validation():
@@ -97,6 +101,8 @@ def test_params_validation():
         DashParams(1, 4, 2)  # gcd(s, d) > 1
     with pytest.raises(ValueError):
         DashParams(1, 1, 1)  # d too small
+    with pytest.raises(ValueError, match="s must lie in"):
+        DashParams(1, 4, 5)  # s > d
 
 
 @given(valid_params())

@@ -83,6 +83,8 @@ def test_mod_inverse_reference_values():
     assert mod_inverse(4, 49) == 37
     assert mod_inverse(1, 9) == 1
     assert mod_inverse(3, 7) == 5
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        mod_inverse(3, 0)
 
 
 def test_mod_inverse_rejects_shared_factor():

@@ -32,6 +32,8 @@ def test_pochhammer_reference_values():
     assert pochhammer(Rational(22, 7), 0) == 1
     assert pochhammer(Rational(-3, 5), 0) == 1
     assert pochhammer(Rational(1, 2), 3) == Rational(15, 8)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        pochhammer(Rational(1, 4), -1)
 
 
 def test_harmonic_reference_values():
@@ -57,6 +59,8 @@ def test_term_f_reference_values():
         assert term_F(x, 0) == x
     assert term_F(Rational(1, 4), 1) == Rational(3, 128)
     assert term_F(Rational(1, 2), 1) == Rational(5, 32)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        term_F(Rational(1, 4), -1)
 
 
 def test_term_g_reference_values():
@@ -91,6 +95,8 @@ def test_sum_f_reference_values():
     assert sum_F(Rational(1, 4), 2) == Rational(35, 128)
     # the truncated quartic-summand congruence at p = 5, halved form
     assert valuation(sum_F(Rational(1, 2), 5) - Rational(5, 2), 5) >= 4
+    with pytest.raises(ValueError, match="N must be positive"):
+        sum_F(Rational(1, 4), 0)
 
 
 def test_sum_f_matches_term_sum():
@@ -155,6 +161,10 @@ def test_sum_g_boundary_reference_values():
     a = 5  # <-1/4> mod 7
     lhs = sum_G_boundary(Rational(1, 4), a, 7)
     assert lhs == sum_F(Rational(21, 4), 7) - sum_F(Rational(1, 4), 7)
+    with pytest.raises(ValueError, match="a must be nonnegative"):
+        sum_G_boundary(Rational(1, 4), -1, 3)
+    with pytest.raises(ValueError, match="N must be positive"):
+        sum_G_boundary(Rational(1, 4), 1, 0)
 
 
 def test_sum_g_boundary_matches_term_sum():

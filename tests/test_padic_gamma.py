@@ -198,6 +198,8 @@ def test_factorization_preconditions():
         pochhammer_factorization(Rational(1, 2), 101, 1, 3)  # 101^3 > cap
     with pytest.raises(PadicDenominatorError):
         pochhammer_factorization(Rational(1, 5), 5, 1, 1)
+    with pytest.raises(ValueError, match="r must be positive"):
+        pochhammer_factorization(Rational(1, 4), 7, 0, 2)
 
 
 @given(st.sampled_from([3, 5, 7]), st.integers(min_value=1, max_value=2), rationals)

@@ -159,27 +159,24 @@ def _r_values(text: str) -> tuple[int, ...]:
     return values
 
 
-def _add_dash_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--c", type=int, required=True, help="numerator of alpha = c/d")
-    parser.add_argument("--d", type=int, required=True, help="denominator of alpha = c/d")
-    parser.add_argument("--s", type=int, required=True, help="residue class of p mod d")
-
-
-def _add_p_r(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=int, required=True, help="prime")
-    parser.add_argument("--r", type=int, required=True, help="power of p")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=_RENDERERS, default="json", help="report format")
     output.add_argument(
         "--timings", action="store_true", help="include elapsed milliseconds in reports"
     )
-    forceable = argparse.ArgumentParser(add_help=False)
+    # each parent adds its flags to the one before: output < forceable < claim < dash_claim
+    forceable = argparse.ArgumentParser(add_help=False, parents=[output])
     forceable.add_argument(
         "--force", action="store_true", help="override the desk-scale resource guard"
     )
+    claim = argparse.ArgumentParser(add_help=False, parents=[forceable])
+    claim.add_argument("--p", type=int, required=True, help="prime")
+    claim.add_argument("--r", type=int, required=True, help="power of p")
+    dash_claim = argparse.ArgumentParser(add_help=False, parents=[claim])
+    dash_claim.add_argument("--c", type=int, required=True, help="numerator of alpha = c/d")
+    dash_claim.add_argument("--d", type=int, required=True, help="denominator of alpha = c/d")
+    dash_claim.add_argument("--s", type=int, required=True, help="residue class of p mod d")
 
     parser = argparse.ArgumentParser(
         prog="supercong",
@@ -189,23 +186,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="verify a single claim")
     targets = verify.add_subparsers(dest="target", required=True)
-
-    theorem = targets.add_parser("theorem", parents=[output, forceable])
-    _add_dash_params(theorem)
-    _add_p_r(theorem)
-
-    corollary = targets.add_parser("corollary", parents=[output, forceable])
-    _add_p_r(corollary)
-
-    family = targets.add_parser("family", parents=[output, forceable])
+    targets.add_parser("theorem", parents=[dash_claim])
+    targets.add_parser("corollary", parents=[claim])
+    family = targets.add_parser("family", parents=[claim])
     family.add_argument("--name", choices=[fam.value for fam in Family], required=True)
-    _add_p_r(family)
     family.add_argument("--alpha", type=_rational, default=None, help="rational, e.g. 2/3")
-
-    lemma = targets.add_parser("lemma", parents=[output, forceable])
+    lemma = targets.add_parser("lemma", parents=[dash_claim])
     lemma.add_argument("--name", choices=[check.value for check in LemmaCheck], required=True)
-    _add_dash_params(lemma)
-    _add_p_r(lemma)
 
     commands.add_parser("table1", parents=[output])
 
@@ -214,10 +201,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--telescope-count", type=int, default=50, help="telescoping cases")
     fuzz.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    probe = commands.add_parser("probe", parents=[output, forceable])
-    _add_p_r(probe)
+    commands.add_parser("probe", parents=[claim])
 
-    batch = commands.add_parser("batch", parents=[output, forceable])
+    batch = commands.add_parser("batch", parents=[forceable])
     batch.add_argument("--parallel", type=int, default=1, help="worker processes")
     batch.add_argument("--lemmas", action="store_true", help="include the lemma checks")
     batch.add_argument("--count", type=int, default=2, help="admissible primes per row")

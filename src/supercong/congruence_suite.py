@@ -315,10 +315,7 @@ def verify_corollary(p: int, r: int, force: bool = False) -> VerificationReport:
     """Check sum of (8k+1)(1/4)_k^3(1/2)_k/((1)_k^3(3/4)_k) over k < p^r
     against 3 p^r + (27/4) p^(3r) H^(2)_((p^r-3)/4), exponent r + 3.
 
-    Needs p = 3 mod 4 and odd r. At p = 3 both sides of the stated form are
-    checked through the two facts that prove it there: the sum is 3^(r+1) to
-    the full exponent and the harmonic term vanishes to the full exponent;
-    the reported observation is the smaller of the two valuations.
+    Needs p = 3 mod 4 and odd r.
     """
 
     def skip() -> str | None:
@@ -329,8 +326,6 @@ def verify_corollary(p: int, r: int, force: bool = False) -> VerificationReport:
     def observe() -> tuple[int, Valuation]:
         lhs = 4 * sum_F(QUARTER, p**r)
         h_term = Fraction(27, 4) * p ** (3 * r) * harmonic((p**r - 3) // 4, 2)
-        if p == 3:
-            return r + 3, min(valuation(lhs - 3 ** (r + 1), 3), valuation(h_term, 3))
         return r + 3, valuation(lhs - 3 * p**r - h_term, p)
 
     return _verify("corollary", (("p", p), ("r", r)), p, r, force, skip, observe)
@@ -530,6 +525,9 @@ _LEMMA_CHECKS = {
     LemmaCheck.HARMONIC_PRIME: (_below_five, _check_harmonic_prime),
 }
 
+# the dash orbit checks cost O(max(r, period)) whatever p^r is, so the term guard spares them
+_ORBIT_CHECKS = frozenset(check for check in LemmaCheck if check.value.startswith("dash-"))
+
 
 def verify_lemma(
     name: LemmaCheck | str,
@@ -542,10 +540,12 @@ def verify_lemma(
 
     Each check applies its own hypotheses and reports a skip outside them.
     DASH_MAX_MULTIPLE quantifies over j in [0, r-2] and so passes vacuously
-    at r = 1.
+    at r = 1. The dash-* checks run whatever p^r is; the others keep the
+    term guard.
     """
     check = LemmaCheck(name)
     skip, observe = (partial(fn, params, p, r) for fn in _LEMMA_CHECKS[check])
+    force = force or check in _ORBIT_CHECKS
     return _verify(f"lemma.{check.value}", _dash_ident(params, p, r), p, r, force, skip, observe)
 
 
@@ -714,7 +714,7 @@ def _run_tasks(tasks: list[partial], parallelism: int) -> list[VerificationRepor
 
 
 def run_theorem_batch(
-    tasks: list[tuple[DashParams, int, int]] | None = None,
+    tasks: list[tuple[DashParams, int, int]],
     parallelism: int = 1,
     force: bool = False,
 ) -> list[VerificationReport]:
@@ -724,13 +724,11 @@ def run_theorem_batch(
     independent of the parallelism degree. A claim stopped by a capacity
     error yields an error report; the other claims still report.
     """
-    if tasks is None:
-        tasks = theorem_grid()
     return _run_tasks([partial(verify_theorem, *task, force) for task in tasks], parallelism)
 
 
 def run_lemma_batch(
-    tasks: list[tuple[DashParams, int, int]] | None = None,
+    tasks: list[tuple[DashParams, int, int]],
     parallelism: int = 1,
     force: bool = False,
 ) -> list[VerificationReport]:
@@ -738,8 +736,6 @@ def run_lemma_batch(
 
     Capacity errors become error reports as in run_theorem_batch.
     """
-    if tasks is None:
-        tasks = theorem_grid()
     jobs = [partial(verify_lemma, check, *task, force) for check in LemmaCheck for task in tasks]
     return _run_tasks(jobs, parallelism)
 

@@ -34,7 +34,7 @@ from supercong.padic_gamma import pochhammer_factorization
 def test_acceptance_01_theorem_grid():
     """Central congruence over 13 rows x 2 admissible primes x r in {1, 2}."""
     t0 = time.perf_counter()
-    reports = run_theorem_batch()
+    reports = run_theorem_batch(theorem_grid())
     elapsed = time.perf_counter() - t0
     assert len(reports) == 52
     assert all(rep.skipped_reason is None for rep in reports)
@@ -45,7 +45,7 @@ def test_acceptance_01_theorem_grid():
 
 
 def test_acceptance_02_corollary():
-    """Quarter-point corollary at exponent r+3, including the p=3 branch."""
+    """Quarter-point corollary at exponent r+3, including p=3 by the same congruence."""
     for p, r in [(7, 1), (11, 1), (19, 1), (7, 3)]:
         rep = verify_corollary(p, r)
         assert rep.passed is True, (p, r)
@@ -54,7 +54,7 @@ def test_acceptance_02_corollary():
         rep = verify_corollary(3, r)
         assert rep.passed is True, r
         assert rep.observed_valuation >= r + 3
-    print("ACCEPTANCE 02 corollary: PASS (p in {3,7,11,19} incl. p=3 branch)")
+    print("ACCEPTANCE 02 corollary: PASS (p in {3,7,11,19}, one congruence for every p)")
 
 
 def test_acceptance_03_power_families():
@@ -161,7 +161,7 @@ def test_acceptance_09_conjecture_probe():
 
 def test_acceptance_10_determinism():
     """Report streams are byte-identical across parallelism degrees."""
-    serial = emit_report(run_theorem_batch(parallelism=1))
-    parallel = emit_report(run_theorem_batch(parallelism=8))
+    serial = emit_report(run_theorem_batch(theorem_grid(), parallelism=1))
+    parallel = emit_report(run_theorem_batch(theorem_grid(), parallelism=8))
     assert serial == parallel
     print("ACCEPTANCE 10 determinism: PASS (parallelism 1 vs 8 byte-identical)")

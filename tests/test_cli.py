@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from supercong import cli
+from supercong import cli, congruence_suite
 from supercong.cli import emit_report, run
 from supercong.congruence_suite import VerificationReport
 from supercong.exact_core import INFINITE
@@ -66,6 +66,12 @@ def test_usage_errors_exit_two(capfdbinary):
     assert run(["wz-fuzz", "--count", "-3"]) == 2
     out, err = capfdbinary.readouterr()
     assert out == b"" and b"count must be nonnegative" in err
+
+    # the exact-identity commands have no resource guard to force
+    for args in (["table1", "--force"], ["wz-fuzz", "--count", "3", "--force"]):
+        assert run(args) == 2, args
+        out, err = capfdbinary.readouterr()
+        assert out == b"" and b"unrecognized arguments: --force" in err
 
 
 def test_failing_claim_exits_one(monkeypatch, capfdbinary):
@@ -194,16 +200,33 @@ def test_help_exits_zero(capfdbinary):
     assert out.startswith(b"usage: supercong")
 
 
-def test_force_flag_overrides_the_resource_guard(capfdbinary):
-    # 151^2 terms exceed the guard, but the closed-form check costs O(r)
-    args = ["verify", "lemma", "--name", "dash-closed-form",
-            "--c", "1", "--d", "4", "--s", "3", "--p", "151", "--r", "2"]
+def test_force_flag_overrides_the_resource_guard(monkeypatch, capfdbinary):
+    # 7^2 = 49 terms exceed a guard lowered to 48
+    monkeypatch.setattr(congruence_suite, "TERM_GUARD", 48)
+    args = ["verify", "theorem", "--c", "1", "--d", "4", "--s", "3", "--p", "7", "--r", "2"]
     assert run(args) == 2
     out, err = capfdbinary.readouterr()
     assert out == b"" and b"guard" in err
     assert run(args + ["--force"]) == 0
     out, _ = capfdbinary.readouterr()
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        THEOREM_ARGS,
+        ["verify", "corollary", "--p", "7", "--r", "1"],
+        ["verify", "family", "--name", "C2_1_9", "--p", "7", "--r", "1"],
+        ["verify", "lemma", "--name", "dash-period", *THEOREM_ARGS[2:]],
+        ["probe", "--p", "13", "--r", "1"],
+        ["batch", "--count", "1", "--r-values", "1"],
+    ],
+)
+def test_claim_commands_take_the_output_and_force_flags(args, capfdbinary):
+    assert run([*args, "--format", "text", "--timings", "--force"]) == 0
+    out, err = capfdbinary.readouterr()
+    assert b" ms]" in out and err == b""
 
 
 def test_parallel_env_is_ignored(monkeypatch, capfdbinary):

@@ -132,11 +132,13 @@ def test_corollary_reference_values():
 
     assert verify_corollary(7, 3).observed_valuation == 6
 
-    # p=3 runs through the two-fact split and still clears r+3
+    # p=3 is checked by the stated congruence like any p = 3 mod 4, observing r+5
     rep = verify_corollary(3, 1)
     assert rep.passed is True
     assert rep.observed_valuation == 6
     assert verify_corollary(3, 3).observed_valuation == 8
+    assert verify_corollary(3, 5).observed_valuation == 10
+    assert verify_corollary(3, 7).observed_valuation == 12
 
 
 def test_corollary_skip_reasons():
@@ -483,13 +485,22 @@ def test_resource_guard():
     assert 211**2 > TERM_GUARD  # the guard is what these runs trip
 
 
-def test_force_overrides_the_resource_guard():
-    # 151^2 terms exceed the guard, but the closed-form check costs O(r)
+def test_force_overrides_the_resource_guard(monkeypatch):
+    # 7^2 = 49 terms exceed a guard lowered to 48, and force runs them
+    monkeypatch.setattr(congruence_suite, "TERM_GUARD", 48)
     params = DashParams(1, 4, 3)
-    with pytest.raises(ResourceGuardError):
-        verify_lemma(LemmaCheck.DASH_CLOSED_FORM, params, 151, 2)
-    rep = verify_lemma(LemmaCheck.DASH_CLOSED_FORM, params, 151, 2, force=True)
-    assert rep.outcome == "PASS"
+    with pytest.raises(ResourceGuardError, match="49 terms"):
+        verify_theorem(params, 7, 2)
+    assert verify_theorem(params, 7, 2, force=True).outcome == "PASS"
+
+
+@pytest.mark.parametrize(
+    "check", [check for check in LemmaCheck if check.value.startswith("dash-")]
+)
+def test_dash_orbit_checks_run_past_the_term_guard(check):
+    # 151^2 terms exceed the guard, but a dash orbit check costs O(max(r, period))
+    assert 151**2 > TERM_GUARD
+    assert verify_lemma(check, DashParams(1, 4, 3), 151, 2).outcome == "PASS"
 
 
 def test_capacity_error_becomes_a_batch_report():
@@ -518,6 +529,14 @@ def test_nonprime_and_bad_r_rejected():
         verify_corollary(15, 1)
     with pytest.raises(PrimeRequiredError):
         probe_conjecture_7_1(21, 1)
+
+
+def test_internal_contract_errors():
+    # no tabulated claim reaches these raises; they guard the helpers' own contracts
+    with pytest.raises(ValueError, match="^x is not an integer: 1/2$"):
+        congruence_suite._as_int(Fraction(1, 2), "x")
+    with pytest.raises(ValueError, match="^class of p mod 5 is not determined by s mod 4$"):
+        congruence_suite._effective_class(Fraction(1, 5), 4, 3)
 
 
 def test_corollary_is_four_times_theorem_at_quarter():
@@ -647,7 +666,7 @@ def test_flipped_sign_fails_its_table_row_only(monkeypatch):
     [(7, 1, "harmonic", 3), (3, 1, "sum_F", 3), (3, 3, "sum_F", 5)],
 )
 def test_shifted_side_fails_corollary(monkeypatch, p, r, patched, observed):
-    # at p = 3 the check takes its own branch: the sum against 3^(r+1)
+    # at p = 3 a shifted sum fails the stated congruence as at any other p
     assert verify_corollary(p, r).outcome == "PASS"
     original = getattr(congruence_suite, patched)
     shift = 1 if patched == "harmonic" else p ** (r + 2)

@@ -7,7 +7,9 @@ F and G satisfy F(x+1, k) - F(x, k) = G(x, k+1) - G(x, k) exactly, which lets a
 shifted sum of F telescope into a boundary sum of G. F is the d = 1/2 case of the
 very-well-poised 5F4 summand that sum_F sums for any d. sum_F and sum_G_boundary run
 through one kernel, _well_poised_sum, whose term ratio is four linear factors over
-four. All sums are exact rationals; summands need not be p-adic integers.
+four. It sums by exact binary splitting: products of integers over a balanced tree
+of term ranges, and one reduced Fraction at the end. All sums are exact rationals;
+summands need not be p-adic integers.
 """
 
 from __future__ import annotations
@@ -90,23 +92,37 @@ def wz_residual(x: Rational, k: int) -> Rational:
 
 def _well_poised_sum(u: Rational, c: Rational, uppers: tuple, lowers: tuple, n: int) -> Rational:
     # sum over i < n (n >= 1) of (u + 2i) c_i, c_0 = c, c_(i+1)/c_i = prod(a + i) / prod(b + i)
-    # over as many uppers as lowers, no (b + i) zero. Each ratio is one quotient of integers
-    # over D, the parameters' common denominator: one Fraction product per term.
+    # over as many uppers as lowers, no (b + i) zero for i < n - 1. Exact binary splitting
+    # (Haible and Papanikolaou, ANTS-III, 1998) in integers, scaled by D, the parameters'
+    # common denominator, and by ud, the weight's: a range [l, r) gives (P, Q, T) with
+    # P/Q = c_(r-1)/c_(l-1) and T/(Q ud) = sum over the range of (u + 2i) c_i/c_(l-1),
+    # taking c_(-1) = c_0. Leaf i holds the ratio at i - 1, which leads into term i, and
+    # leaf 0 is (1, 1, u ud). So the lower factor at n - 1 is never formed: the pole checks
+    # do not exclude its zero, which would make Q zero. No gcd is taken before the end.
     D = math.lcm(*(q.denominator for q in uppers + lowers))
     tops, bottoms = [int(a * D) for a in uppers], [int(b * D) for b in lowers]
-    total = Fraction(0)
-    for i in range(n - 1):
-        total += (u + 2 * i) * c
-        num = den = 1
-        for a, b in zip(tops, bottoms):
-            num *= a + i * D
-            den *= b + i * D
-        c *= Fraction(num, den)
-    return total + (u + 2 * n - 2) * c
+    un, ud = u.as_integer_ratio()
+
+    def split(l: int, r: int) -> tuple[int, int, int]:
+        if r - l == 1:
+            if l == 0:
+                return 1, 1, un
+            P = Q = 1
+            for a, b in zip(tops, bottoms):
+                P *= a + (l - 1) * D
+                Q *= b + (l - 1) * D
+            return P, Q, P * (un + 2 * l * ud)
+        m = (l + r) // 2
+        P1, Q1, T1 = split(l, m)
+        P2, Q2, T2 = split(m, r)
+        return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+    _, Q, T = split(0, n)
+    return c * Fraction(T, Q * ud)
 
 
 def sum_F(x: Rational, N: int, d: Rational = Fraction(1, 2)) -> Rational:
-    """Whipple's very-well-poised 5F4 partial sum, computed incrementally in O(N) products.
+    """Whipple's very-well-poised 5F4 partial sum, exact, by binary splitting over k.
 
     The sum over k = 0..N-1 of (2k + x) (x)_k^3 (d)_k / ((1)_k^3 (1 + x - d)_k).
     At the default d = 1/2 the summand is F(x, k); at d = x it is

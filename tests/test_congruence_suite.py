@@ -139,6 +139,8 @@ def test_corollary_reference_values():
     assert verify_corollary(3, 3).observed_valuation == 8
     assert verify_corollary(3, 5).observed_valuation == 10
     assert verify_corollary(3, 7).observed_valuation == 12
+    # 19 683 terms, just under the term guard: seconds with the binary-splitting kernel
+    assert verify_corollary(3, 9, force=True).observed_valuation == 14
 
 
 def test_corollary_skip_reasons():

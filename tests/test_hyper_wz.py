@@ -1,5 +1,9 @@
 """Rising factorials, harmonic numbers, the WZ pair and its telescoping sums."""
 
+import math
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -280,3 +284,90 @@ def test_telescoping_is_exact(alpha, a, n):
     assume(j is None or j >= n + a - 1)
     lhs = sum_F(alpha + a, n) - sum_F(alpha, n)
     assert lhs == sum_G_boundary(alpha, a, n)
+
+
+def loop_well_poised_sum(u, c, uppers, lowers, n):
+    # the term-by-term Fraction loop that summed the well-poised series before binary
+    # splitting, kept verbatim as the differential oracle of hyper_wz._well_poised_sum
+    D = math.lcm(*(q.denominator for q in uppers + lowers))
+    tops, bottoms = [int(a * D) for a in uppers], [int(b * D) for b in lowers]
+    total = Fraction(0)
+    for i in range(n - 1):
+        total += (u + 2 * i) * c
+        num = den = 1
+        for a, b in zip(tops, bottoms):
+            num *= a + i * D
+            den *= b + i * D
+        c *= Fraction(num, den)
+    return total + (u + 2 * n - 2) * c
+
+
+def loop_sum_F(x, N, d):
+    return loop_well_poised_sum(x, 1, (x, x, x, d), (1, 1, 1, 1 + x - d), N)
+
+
+def loop_sum_G_boundary(alpha, a, N):
+    if a == 0:
+        return Fraction(0)
+    half = Fraction(1, 2)
+    core = pochhammer(alpha, N) ** 3 * pochhammer(half, N)
+    core /= pochhammer(1, N) ** 3 * pochhammer(half + alpha, N)
+    uppers, lowers = (alpha + N,) * 3 + (half + alpha,), (alpha + 1,) * 3 + (half + alpha + N,)
+    return N**3 * loop_well_poised_sum(N + 2 * alpha, core / alpha**3, uppers, lowers, a)
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-60, 60), rng.randint(1, 24))
+
+
+def sum_f_oracle_cases():
+    rng = random.Random(2026)
+    cases = [(Fraction(-7, 3), 1, Fraction(1, 2)), (Fraction(-7, 3), 2, Fraction(-7, 3))]
+    for n in range(200):
+        x = random_rational(rng)
+        N = rng.randint(200, 1500) if n % 25 == 0 else rng.choice((1, 2, rng.randint(3, 60)))
+        # d = x + N puts 1 + x - d at -(N - 1): the lower factor at N - 1 is zero, and the
+        # last term does not need it; d = 1 + x + j with j < N - 1 is a pole
+        pole = 1 + x + rng.randrange(N)
+        d = rng.choice((Fraction(1, 2), x, random_rational(rng), x + N, pole))
+        cases.append((x, N, d))
+    return cases + [(Fraction(1, 3), 1500, Fraction(1, 2)), (Fraction(-5, 7), 1500, Fraction(-5, 7))]
+
+
+def test_sum_f_matches_the_loop_oracle():
+    cases = sum_f_oracle_cases()
+    assert sum(x < 0 for x, _, _ in cases) > 50
+    assert sum(1 + x - d == 1 - N for x, N, d in cases) > 20
+    poles = 0
+    for x, N, d in cases:
+        try:
+            expected = loop_sum_F(x, N, d)
+        except ZeroDivisionError:
+            with pytest.raises(PochhammerPoleError):
+                sum_F(x, N, d)
+            poles += 1
+        else:
+            assert sum_F(x, N, d) == expected, (x, N, d)
+    assert poles > 10
+
+
+def test_sum_g_boundary_matches_the_loop_oracle():
+    rng = random.Random(2028)
+    # G(-9 + l, 5) and G(-5 + l, 4) have zero terms inside the range
+    cases = [(Fraction(-9), 8, 5), (Fraction(-5), 5, 4), (Fraction(1, 4), 1, 1)]
+    while len(cases) < 200:
+        integer = rng.random() < 0.25
+        alpha = Fraction(rng.randint(-12, -1)) if integer else random_rational(rng)
+        a = rng.randint(300, 1200) if len(cases) % 40 == 0 else rng.randint(0, 40)
+        cases.append((alpha, a, rng.randint(1, 30)))
+    poles = 0
+    for alpha, a, N in cases:
+        try:
+            expected = loop_sum_G_boundary(alpha, a, N)
+        except ZeroDivisionError:
+            with pytest.raises(PochhammerPoleError):
+                sum_G_boundary(alpha, a, N)
+            poles += 1
+        else:
+            assert sum_G_boundary(alpha, a, N) == expected, (alpha, a, N)
+    assert 10 < poles < 80

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -708,6 +707,9 @@ def _run_tasks(tasks: list[partial], parallelism: int) -> list[VerificationRepor
     workers = min(parallelism, len(tasks))
     if workers <= 1:
         return canonical_sort([_run_claim(task) for task in tasks])
+    # imported here: the pool and multiprocessing add ~2 MB and tens of ms to every start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 4))
         return canonical_sort(list(pool.map(_run_claim, tasks, chunksize=chunk)))

@@ -98,7 +98,8 @@ def _well_poised_sum(u: Rational, c: Rational, uppers: tuple, lowers: tuple, n: 
     # P/Q = c_(r-1)/c_(l-1) and T/(Q ud) = sum over the range of (u + 2i) c_i/c_(l-1),
     # taking c_(-1) = c_0. Leaf i holds the ratio at i - 1, which leads into term i, and
     # leaf 0 is (1, 1, u ud). So the lower factor at n - 1 is never formed: the pole checks
-    # do not exclude its zero, which would make Q zero. No gcd is taken before the end.
+    # do not exclude its zero, which would make Q zero. No merge reads the P of a range
+    # that ends at n, so those merges leave it 0. No gcd is taken before the end.
     D = math.lcm(*(q.denominator for q in uppers + lowers))
     tops, bottoms = [int(a * D) for a in uppers], [int(b * D) for b in lowers]
     un, ud = u.as_integer_ratio()
@@ -115,7 +116,7 @@ def _well_poised_sum(u: Rational, c: Rational, uppers: tuple, lowers: tuple, n: 
         m = (l + r) // 2
         P1, Q1, T1 = split(l, m)
         P2, Q2, T2 = split(m, r)
-        return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+        return P1 * P2 if r < n else 0, Q1 * Q2, T1 * Q2 + P1 * T2
 
     _, Q, T = split(0, n)
     return c * Fraction(T, Q * ud)

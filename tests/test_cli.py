@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +270,45 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == THEOREM_LINE
+
+
+# run in a fresh interpreter: pytest itself may already have imported concurrent.futures
+COLD_START = """
+import io, json, sys
+import supercong, supercong.cli as cli
+
+def capture(argv):
+    real, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())
+    try:
+        code = cli.run(argv)
+        return code, sys.stdout.buffer.getvalue()
+    finally:
+        sys.stdout = real
+
+theorem = capture(sys.argv[1:])
+pool = sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing")))
+serial, pooled = (capture(["batch", "--lemmas", "--count", "1", "--parallel", n]) for n in "12")
+print(json.dumps([theorem[0], theorem[1].decode(), pool, serial[0], pooled[0],
+                  serial[1].decode(), pooled[1].decode()]))
+"""
+
+
+def test_one_shot_claim_never_imports_the_process_pool():
+    # only batch --parallel >= 2 forks a pool; a one-shot claim must not pay its import
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, *THEOREM_ARGS],
+        capture_output=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, line, pool, serial_code, pooled_code, serial, pooled = json.loads(proc.stdout)
+    assert (code, line.encode()) == (0, THEOREM_LINE)
+    assert pool == []
+    assert serial_code == pooled_code == 0
+    assert serial == pooled
+    digest = "83cedccd2d01ebb4c489576bfcbeb162aad6eb1c1c1bcbb885286e30d1130605"
+    assert hashlib.sha256(serial.encode()).hexdigest() == digest
 
 
 def test_closed_stdout_exits_two_without_traceback():

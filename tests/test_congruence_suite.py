@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 from fractions import Fraction
 
@@ -409,7 +410,8 @@ def test_pool_never_starts_more_workers_than_tasks(monkeypatch, count, paralleli
         def map(self, fn, tasks, chunksize):
             return map(fn, tasks)
 
-    monkeypatch.setattr(congruence_suite, "ProcessPoolExecutor", RecordingPool)
+    # _run_tasks imports the pool where it forks one, so patch the name that import reads
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     tasks = [(DashParams(1, 4, 3), 7, 1), (DashParams(1, 2, 1), 5, 1), (DashParams(1, 4, 3), 11, 1)]
     reports = run_theorem_batch(tasks[:count], parallelism)
     assert [rep.outcome for rep in reports] == ["PASS"] * count

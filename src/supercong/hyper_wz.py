@@ -8,8 +8,8 @@ shifted sum of F telescope into a boundary sum of G. F is the d = 1/2 case of th
 very-well-poised 5F4 summand that sum_F sums for any d. sum_F and sum_G_boundary run
 through one kernel, _well_poised_sum, whose term ratio is four linear factors over
 four. It sums by exact binary splitting: products of integers over a balanced tree
-of term ranges, and one reduced Fraction at the end. All sums are exact rationals;
-summands need not be p-adic integers.
+of term ranges, a common factor cancelled at each merge, and one reduced Fraction at
+the end. All sums are exact rationals; summands need not be p-adic integers.
 """
 
 from __future__ import annotations
@@ -99,7 +99,10 @@ def _well_poised_sum(u: Rational, c: Rational, uppers: tuple, lowers: tuple, n: 
     # taking c_(-1) = c_0. Leaf i holds the ratio at i - 1, which leads into term i, and
     # leaf 0 is (1, 1, u ud). So the lower factor at n - 1 is never formed: the pole checks
     # do not exclude its zero, which would make Q zero. No merge reads the P of a range
-    # that ends at n, so those merges leave it 0. No gcd is taken before the end.
+    # that ends at n, so those merges leave it 0. Each merge first divides P1 and Q2 by
+    # g = gcd(P1, Q2) (Cheng, Hanrot, Thome, Zima and Zimmermann, ISSAC 2007): g divides
+    # both terms of T1 Q2 + P1 T2, so T/Q and P/Q keep their values, and Q stays near the
+    # size of the reduced denominator. A zero upper factor makes P1 = 0, so g = |Q2|.
     D = math.lcm(*(q.denominator for q in uppers + lowers))
     tops, bottoms = [int(a * D) for a in uppers], [int(b * D) for b in lowers]
     un, ud = u.as_integer_ratio()
@@ -116,6 +119,8 @@ def _well_poised_sum(u: Rational, c: Rational, uppers: tuple, lowers: tuple, n: 
         m = (l + r) // 2
         P1, Q1, T1 = split(l, m)
         P2, Q2, T2 = split(m, r)
+        g = math.gcd(P1, Q2)
+        P1, Q2 = P1 // g, Q2 // g
         return P1 * P2 if r < n else 0, Q1 * Q2, T1 * Q2 + P1 * T2
 
     _, Q, T = split(0, n)

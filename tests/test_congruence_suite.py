@@ -140,8 +140,14 @@ def test_corollary_reference_values():
     assert verify_corollary(3, 3).observed_valuation == 8
     assert verify_corollary(3, 5).observed_valuation == 10
     assert verify_corollary(3, 7).observed_valuation == 12
-    # 19 683 terms, just under the term guard: seconds with the binary-splitting kernel
+    # 19 683 terms, just under the term guard: under a second with the binary-splitting kernel
     assert verify_corollary(3, 9, force=True).observed_valuation == 14
+
+
+def test_probe_reference_value_at_r_3():
+    # p^r = 68 921 is past the term guard; the GZ_1_5 sum has 34 461 terms and takes
+    # about a second when each merge of the series kernel cancels a common factor
+    assert probe_conjecture_7_1(41, 3, force=True).observed_valuation == 8
 
 
 def test_corollary_skip_reasons():

@@ -13,6 +13,7 @@ from supercong import (
     Rational,
     half_pole_index,
     harmonic,
+    hyper_wz,
     is_prime,
     pochhammer,
     sum_F,
@@ -331,14 +332,30 @@ def sum_f_oracle_cases():
         pole = 1 + x + rng.randrange(N)
         d = rng.choice((Fraction(1, 2), x, random_rational(rng), x + N, pole))
         cases.append((x, N, d))
-    return cases + [(Fraction(1, 3), 1500, Fraction(1, 2)), (Fraction(-5, 7), 1500, Fraction(-5, 7))]
+    # a zero upper factor x + j or d + j with N well past j
+    zero_uppers = [
+        (Fraction(-5), 40, Fraction(1, 2)),
+        (Fraction(-12), 300, Fraction(1, 2)),
+        (Fraction(-3), 64, Fraction(-3)),
+        (Fraction(1, 3), 50, Fraction(-7)),
+    ]
+    return cases + zero_uppers + [
+        (Fraction(1, 3), 1500, Fraction(1, 2)),
+        (Fraction(-5, 7), 1500, Fraction(-5, 7)),
+    ]
+
+
+def zero_upper_inside(uppers, n):
+    # an upper factor a + j vanishes at some j < n - 2, so its leaf j + 1 is not the last
+    # one, and the merge that splits it from the last leaf has P1 = 0 and cancels g = |Q2|
+    return any(a.denominator == 1 and 0 <= -a < n - 2 for a in map(Fraction, uppers))
 
 
 def test_sum_f_matches_the_loop_oracle():
     cases = sum_f_oracle_cases()
     assert sum(x < 0 for x, _, _ in cases) > 50
     assert sum(1 + x - d == 1 - N for x, N, d in cases) > 20
-    poles = 0
+    poles = zero_merges = 0
     for x, N, d in cases:
         try:
             expected = loop_sum_F(x, N, d)
@@ -348,19 +365,23 @@ def test_sum_f_matches_the_loop_oracle():
             poles += 1
         else:
             assert sum_F(x, N, d) == expected, (x, N, d)
+            zero_merges += zero_upper_inside((x, x, x, d), N)
     assert poles > 10
+    assert zero_merges > 8
 
 
 def test_sum_g_boundary_matches_the_loop_oracle():
     rng = random.Random(2028)
-    # G(-9 + l, 5) and G(-5 + l, 4) have zero terms inside the range
+    # G(-9 + l, 5) and G(-5 + l, 4) have zero terms inside the range; in the last three
+    # the upper factor alpha + N + l vanishes at l = -alpha - N, well before l = a - 2
     cases = [(Fraction(-9), 8, 5), (Fraction(-5), 5, 4), (Fraction(1, 4), 1, 1)]
+    cases += [(Fraction(-40), 30, 20), (Fraction(-100), 90, 30), (Fraction(-300), 280, 25)]
     while len(cases) < 200:
         integer = rng.random() < 0.25
         alpha = Fraction(rng.randint(-12, -1)) if integer else random_rational(rng)
         a = rng.randint(300, 1200) if len(cases) % 40 == 0 else rng.randint(0, 40)
         cases.append((alpha, a, rng.randint(1, 30)))
-    poles = 0
+    poles = zero_merges = 0
     for alpha, a, N in cases:
         try:
             expected = loop_sum_G_boundary(alpha, a, N)
@@ -370,4 +391,21 @@ def test_sum_g_boundary_matches_the_loop_oracle():
             poles += 1
         else:
             assert sum_G_boundary(alpha, a, N) == expected, (alpha, a, N)
+            zero_merges += zero_upper_inside((alpha + N,) * 3 + (Fraction(1, 2) + alpha,), a)
     assert 10 < poles < 80
+    assert zero_merges > 5
+
+
+def test_kernel_cancels_common_factors_at_every_merge(monkeypatch):
+    # without the gcd at each merge the unreduced denominator Q ud of sum_F(1/4, 29^2) has
+    # 34 537 bits against the reduced 8 035; with it, 9 134
+    calls = []
+
+    def recording_fraction(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(hyper_wz, "Fraction", recording_fraction)
+    result = sum_F(Fraction(1, 4), 29**2)
+    _, unreduced = [args for args in calls if len(args) == 2][-1]
+    assert unreduced.bit_length() <= 1.5 * result.denominator.bit_length()

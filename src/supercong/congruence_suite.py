@@ -12,6 +12,7 @@ hypotheses and the term guard, and builds its report.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from collections.abc import Callable
@@ -173,6 +174,11 @@ def _as_int(q: Rational, what: str) -> int:
     return q.numerator
 
 
+def _terms(p: int, r: int) -> int | str:
+    """p^r, or the text "p^r" once its floor(r log10 p) + 1 digits pass str()'s 4 300 limit."""
+    return p**r if r * math.log10(p) < 4_300 else f"{p}^{r}"
+
+
 def _verify(
     claim: str,
     ident: ParamItems,
@@ -199,9 +205,10 @@ def _verify(
     if reason is not None:
         return VerificationReport(claim, ident, skipped_reason=reason, elapsed_ms=_ms(t0))
     try:
-        if p**r > TERM_GUARD and not force:
+        # p >= 2, so every r past the guard's bit length is over it without building p^r
+        if not force and (r > TERM_GUARD.bit_length() or p**r > TERM_GUARD):
             raise ResourceGuardError(
-                f"{p**r} terms exceeds the {TERM_GUARD}-term guard; set force to override"
+                f"{_terms(p, r)} terms exceeds the {TERM_GUARD}-term guard; set force to override"
             )
         required, observed = observe()
     except _CAPACITY_ERRORS as exc:
@@ -487,10 +494,10 @@ def _check_harmonic_shift(params: DashParams, p: int, r: int) -> tuple[int, Valu
     alpha = params.alpha
     a = residue(-alpha, p, r)
     scale = p ** (2 * r)
-    window = sum((1 / (alpha + l) ** 2 for l in range(a)), Fraction(0))
+    window, h = harmonic(a, 2, alpha), (p**r - 1) // 2
     v_shift = valuation(scale * window - p**2 * harmonic(_harmonic_length(alpha, p, r), 2), p)
-    tail = sum((1 / (alpha + a - l) ** 2 for l in range(1, (p**r - 1) // 2 + 1)), Fraction(0))
-    return 3, min(v_shift, valuation(scale * tail, p))
+    # the tail 1/(alpha + a - l)^2 over l = 1..h, summed upwards from alpha + a - h
+    return 3, min(v_shift, valuation(scale * harmonic(h, 2, alpha + a - h), p))
 
 
 def _check_sum_f_dash_point(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:

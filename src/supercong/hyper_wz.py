@@ -5,11 +5,11 @@ G(x, k) = k^3 (k + 2x) / x^3 * (x)_k^3 (1/2)_k / ((1)_k^3 (1/2 + x)_k)
 
 F and G satisfy F(x+1, k) - F(x, k) = G(x, k+1) - G(x, k) exactly, which lets a
 shifted sum of F telescope into a boundary sum of G. F is the d = 1/2 case of the
-very-well-poised 5F4 summand that sum_F sums for any d. sum_F and sum_G_boundary run
-through one kernel, _well_poised_sum, whose term ratio is four linear factors over
-four. It sums by exact binary splitting: products of integers over a balanced tree
-of term ranges, a common factor cancelled at each merge, and one reduced Fraction at
-the end. All sums are exact rationals; summands need not be p-adic integers.
+very-well-poised 5F4 summand that sum_F sums for any d. sum_F, sum_G_boundary and
+harmonic run through one kernel, _well_poised_sum, whose term ratio is linear factors
+over as many. It sums by exact binary splitting: products of integers over a balanced
+tree of term ranges, a common factor cancelled at each merge, and one reduced Fraction
+at the end. All sums are exact rationals; summands need not be p-adic integers.
 """
 
 from __future__ import annotations
@@ -52,13 +52,16 @@ def pochhammer(x: Rational, k: int) -> Rational:
     return acc
 
 
-def harmonic(n: int, m: int) -> Rational:
-    """H_n of order m: sum of 1/k^m for k = 1..n."""
+def harmonic(n: int, m: int, x: Rational = 1) -> Rational:
+    """Sum of 1/(x + l)^m over l < n, H_n of order m at x = 1; a zero x + l: ZeroDivisionError."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
-    return sum((Fraction(1, k**m) for k in range(1, n + 1)), Fraction(0))
+    # the kernel with u = 1 and c_l = 1/((x + l)^m (1 + 2l)): its weight 1 + 2l cancels.
+    # x stays an int when it is one, so short sums at x = 1 skip Fraction arithmetic in setup
+    uppers, lowers = (x,) * m + (Fraction(1, 2),), (x + 1,) * m + (Fraction(3, 2),)
+    return _well_poised_sum(1, Fraction(1, x**m), uppers, lowers, n) if n else Fraction(0)
 
 
 def _core(x: Rational, k: int) -> Rational:

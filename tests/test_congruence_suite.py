@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
@@ -504,6 +505,23 @@ def test_force_overrides_the_resource_guard(monkeypatch):
     assert verify_theorem(params, 7, 2, force=True).outcome == "PASS"
 
 
+def test_term_guard_never_builds_or_prints_a_huge_power():
+    # 7^6201 has 5 241 digits, past str()'s 4 300-digit limit, whose ValueError is no
+    # capacity error and once took the whole batch down with it
+    params = DashParams(1, 4, 3)
+    passed, stopped = run_theorem_batch([(params, 7, 1), (params, 7, 6201)])
+    assert passed.outcome == "PASS"
+    assert stopped.error.startswith("ResourceGuardError: 7^6201 terms exceeds")
+    # building 7^10000001 alone took 14 s
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="7\\^10000001 terms"):
+        verify_corollary(7, 10_000_001)
+    assert time.perf_counter() - t0 < 0.5
+    # r = 17 is past the guard's bit length, and a p^r that prints still prints in full
+    with pytest.raises(ResourceGuardError, match=f"^{7**17} terms exceeds the"):
+        verify_corollary(7, 17)
+
+
 @pytest.mark.parametrize(
     "check", [check for check in LemmaCheck if check.value.startswith("dash-")]
 )
@@ -786,9 +804,24 @@ def test_shifted_harmonic_fails_harmonic_shift(monkeypatch, r):
     params, p = DashParams(1, 4, 3), 7
     assert verify_lemma(LemmaCheck.HARMONIC_SHIFT, params, p, r).outcome == "PASS"
     harmonic_ = congruence_suite.harmonic
-    monkeypatch.setattr(congruence_suite, "harmonic", lambda n, k: harmonic_(n, k) + 1)
+    monkeypatch.setattr(
+        congruence_suite, "harmonic", lambda n, k, x=1: harmonic_(n, k, x) + (x == 1)
+    )
     rep = verify_lemma(LemmaCheck.HARMONIC_SHIFT, params, p, r)
     assert (rep.outcome, rep.observed_valuation) == ("FAIL", 2)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_late_window_and_tail_fail_harmonic_shift(monkeypatch, r):
+    # the window and the tail are the sums at x != 1; start each one step late
+    params, p = DashParams(1, 4, 3), 7
+    assert verify_lemma(LemmaCheck.HARMONIC_SHIFT, params, p, r).outcome == "PASS"
+    harmonic_ = congruence_suite.harmonic
+    monkeypatch.setattr(
+        congruence_suite, "harmonic", lambda n, k, x=1: harmonic_(n, k, x + (x != 1))
+    )
+    rep = verify_lemma(LemmaCheck.HARMONIC_SHIFT, params, p, r)
+    assert (rep.outcome, rep.observed_valuation) == ("FAIL", 0)
 
 
 def test_wrong_sides_fail_both_fuzzers(monkeypatch):

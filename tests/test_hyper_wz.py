@@ -409,3 +409,36 @@ def test_kernel_cancels_common_factors_at_every_merge(monkeypatch):
     result = sum_F(Fraction(1, 4), 29**2)
     _, unreduced = [args for args in calls if len(args) == 2][-1]
     assert unreduced.bit_length() <= 1.5 * result.denominator.bit_length()
+
+
+def loop_harmonic(n, m, x):
+    # the harmonic-shift window's term-by-term Fraction loop from before the kernel, with x
+    # for alpha; at x = 1 it sums H_n term for term. Kept as harmonic's differential oracle
+    return sum((1 / (Fraction(x) + l) ** m for l in range(n)), Fraction(0))
+
+
+def test_harmonic_matches_the_loop_oracle():
+    rng = random.Random(2029)
+    # every order at n = 0, where even x = 0 sums to 0, and one long sum past 3^8 terms
+    cases = [(0, m, x) for m in range(1, 5) for x in (1, 0, Fraction(-7, 3))]
+    cases += [(3**8 + 5, 2, 1), (3**8, 2, Fraction(-13, 4))]
+    while len(cases) < 300:
+        n, m = rng.randint(0, 60), rng.randint(1, 4)
+        # a non-positive integer x is a pole when -x < n, and only then; harmonic keeps an
+        # int x an int, so integers come as both types
+        k = rng.randint(0, 70)
+        x = rng.choice((random_rational(rng), Fraction(-k), -k, k))
+        cases.append((n, m, x))
+    assert sum(x < 0 and x.denominator > 1 for _, _, x in cases) > 20
+    assert sum(type(x) is int for _, _, x in cases) > 100
+    poles = 0
+    for n, m, x in cases:
+        try:
+            expected = loop_harmonic(n, m, x)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                harmonic(n, m, x)
+            poles += 1
+        else:
+            assert harmonic(n, m, x) == expected, (n, m, x)
+    assert poles > 40, poles

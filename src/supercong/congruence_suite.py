@@ -39,6 +39,7 @@ from .exact_core import (
     valuation,
 )
 from .hyper_wz import (
+    _boundary_pole,
     half_pole_index,
     harmonic,
     pochhammer,
@@ -531,7 +532,8 @@ _LEMMA_CHECKS = {
     LemmaCheck.HARMONIC_PRIME: (_below_five, _check_harmonic_prime),
 }
 
-# the dash orbit checks cost O(max(r, period)) whatever p^r is, so the term guard spares them
+# the dash orbit checks sum no p^r terms, so the term guard spares them; their cost grows
+# with r and the digits of p^r (they walk r steps and build powers of p up to p^r)
 _ORBIT_CHECKS = frozenset(check for check in LemmaCheck if check.value.startswith("dash-"))
 
 
@@ -753,9 +755,9 @@ def wz_fuzz_cases(count: int = 200, seed: int = DEFAULT_SEED) -> list[tuple[Rati
     """Seeded admissible (x, k) pairs for the pair-identity residual.
 
     x = num/den with 0 < |num| <= 1 000 and 1 <= den <= 1 000, and
-    0 <= k <= 25. Admissible means x is nonzero (G divides by x^3) and
-    (1/2+x)_{k+1} has no vanishing factor, so all four terms of the residual
-    are defined.
+    0 <= k <= 25. Admissible means all four terms of the residual are defined:
+    x is nonzero (term_G's rule) and half_pole_index(x, k + 1) is None, the
+    rule _core applies to (1/2 + x)_k at k + 1, the largest k the residual takes.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -765,13 +767,9 @@ def wz_fuzz_cases(count: int = 200, seed: int = DEFAULT_SEED) -> list[tuple[Rati
         num = rng.randint(-1_000, 1_000)
         den = rng.randint(1, 1_000)
         k = rng.randint(0, 25)
-        if num == 0:
-            continue
         x = Fraction(num, den)
-        pole = half_pole_index(x)
-        if pole is not None and pole <= k:
-            continue
-        cases.append((x, k))
+        if x != 0 and half_pole_index(x, k + 1) is None:
+            cases.append((x, k))
     return cases
 
 
@@ -787,9 +785,9 @@ def run_wz_fuzz(count: int = 200, seed: int = DEFAULT_SEED) -> list[Verification
 def telescope_cases(count: int = 50, seed: int = DEFAULT_SEED) -> list[tuple[Rational, int, int]]:
     """Seeded admissible (alpha, a, N) triples for the telescoping identity.
 
-    1 <= a <= 12 and 1 <= N <= 60. Admissible means alpha + l is nonzero for
-    l in [0, a) and no factor of (1/2 + alpha + l)_N vanishes, so every G
-    term and both sums are defined.
+    1 <= a <= 12 and 1 <= N <= 60. Admissible means sum_G_boundary's pole check,
+    _boundary_pole, returns None. That check covers both sum_F calls too, so every
+    G term and both sums are defined.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -801,12 +799,8 @@ def telescope_cases(count: int = 50, seed: int = DEFAULT_SEED) -> list[tuple[Rat
         a = rng.randint(1, 12)
         n = rng.randint(1, 60)
         x = Fraction(num, den)
-        if x.denominator == 1 and 0 <= -x < a:
-            continue
-        pole = half_pole_index(x)
-        if pole is not None and pole < n + a - 1:
-            continue
-        cases.append((x, a, n))
+        if _boundary_pole(x, a, n) is None:
+            cases.append((x, a, n))
     return cases
 
 

@@ -55,8 +55,18 @@ def dash_iterates(x: Rational, p: int, n: int) -> list[Rational]:
 
 
 def dash_iter(x: Rational, p: int, n: int) -> Rational:
-    """n-fold dash; n = 0 returns x unchanged."""
-    return dash_iterates(x, p, n)[-1]
+    """n-fold dash; n = 0 returns x. Costs the orbit's preperiod plus period, not n."""
+    if n < 0:
+        raise ValueError(f"iteration count must be >= 0, got {n}")
+    x = Fraction(x)
+    steps = {x: 0}  # each iterate so far and its step; the orbit is eventually periodic
+    while len(steps) <= n:
+        x = dash(x, p)
+        if x in steps:  # the cycle runs from step steps[x] and has len(steps) - steps[x]
+            start = steps[x]
+            return list(steps)[start + (n - start) % (len(steps) - start)]
+        steps[x] = len(steps)
+    return x
 
 
 def dash_closed_form(params: DashParams, n: int) -> Rational:

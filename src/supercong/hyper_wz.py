@@ -10,6 +10,10 @@ harmonic run through one kernel, _well_poised_sum, whose term ratio is linear fa
 over as many. It sums by exact binary splitting: products of integers over a balanced
 tree of term ranges, a common factor cancelled at each merge, and one reduced Fraction
 at the end. All sums are exact rationals; summands need not be p-adic integers.
+
+Every pole check is one rule, _zero_factor: (b)_n vanishes iff b + j = 0 for a j < n.
+_core, sum_F and _boundary_pole (sum_G_boundary's l-range) apply it, and the fuzz
+generators in congruence_suite keep a draw by those same calls.
 """
 
 from __future__ import annotations
@@ -24,21 +28,14 @@ class PochhammerPoleError(ValueError):
     """A denominator (1/2 + x)_k, or (1 + x - d)_k in sum_F, vanishes, or G is taken at x = 0."""
 
 
-def half_pole_index(x: Rational) -> int | None:
-    """j >= 0 such that 1/2 + x + j = 0, or None. (1/2+x)_k vanishes iff j < k."""
-    t = -(Fraction(x) + Fraction(1, 2))
-    if t.denominator == 1 and t >= 0:
-        return int(t)
-    return None
+def _zero_factor(b: Rational, n: float) -> int | None:
+    # the j < n with b + j = 0, or None: (b)_n vanishes exactly when there is one
+    return int(-b) if b.denominator == 1 and 0 <= -b < n else None
 
 
-def _check_term(x: Rational, k: int) -> None:
-    # an admissible (x, k) for the pair: k >= 0 and (1/2 + x)_k free of zeros
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    j = half_pole_index(x)
-    if j is not None and j < k:
-        raise PochhammerPoleError(f"(1/2 + {x})_{k} has a zero factor at j = {j}")
+def half_pole_index(x: Rational, k: float = math.inf) -> int | None:
+    """The j < k (any j >= 0 by default) with 1/2 + x + j = 0, or None: the zero of (1/2+x)_k."""
+    return _zero_factor(Fraction(x) + Fraction(1, 2), k)
 
 
 def pochhammer(x: Rational, k: int) -> Rational:
@@ -65,7 +62,10 @@ def harmonic(n: int, m: int, x: Rational = 1) -> Rational:
 
 
 def _core(x: Rational, k: int) -> Rational:
-    # (x)_k^3 (1/2)_k / ((1)_k^3 (1/2+x)_k); callers have already checked the pole
+    # (x)_k^3 (1/2)_k / ((1)_k^3 (1/2+x)_k), the factor F and G share
+    j = half_pole_index(x, k)
+    if j is not None:
+        raise PochhammerPoleError(f"(1/2 + {x})_{k} has a zero factor at j = {j}")
     num = pochhammer(x, k) ** 3 * pochhammer(Fraction(1, 2), k)
     den = pochhammer(Fraction(1), k) ** 3 * pochhammer(Fraction(1, 2) + x, k)
     return num / den
@@ -73,18 +73,15 @@ def _core(x: Rational, k: int) -> Rational:
 
 def term_F(x: Rational, k: int) -> Rational:
     """F(x, k), exact."""
-    _check_term(x, k)
-    x = Fraction(x)
     return (2 * k + x) * _core(x, k)
 
 
 def term_G(x: Rational, k: int) -> Rational:
     """G(x, k), exact; G(x, 0) = 0."""
-    _check_term(x, k)
-    x = Fraction(x)
+    core = _core(x, k)  # first, so that a negative k is reported before x = 0
     if x == 0:
         raise PochhammerPoleError("G has a pole at x = 0")
-    return Fraction(k**3) * (k + 2 * x) / x**3 * _core(x, k)
+    return Fraction(k**3) * (k + 2 * x) / x**3 * core
 
 
 def wz_residual(x: Rational, k: int) -> Rational:
@@ -141,9 +138,22 @@ def sum_F(x: Rational, N: int, d: Rational = Fraction(1, 2)) -> Rational:
         raise ValueError(f"N must be positive, got {N}")
     x, d = Fraction(x), Fraction(d)
     b = 1 + x - d
-    if b.denominator == 1 and 0 <= -b < N - 1:
-        raise PochhammerPoleError(f"(1 + {x} - {d})_{N - 1} has a zero factor at j = {-b}")
+    j = _zero_factor(b, N - 1)
+    if j is not None:
+        raise PochhammerPoleError(f"(1 + {x} - {d})_{N - 1} has a zero factor at j = {j}")
     return _well_poised_sum(x, 1, (x, x, x, d), (1, 1, 1, b), N)
+
+
+def _boundary_pole(alpha: Rational, a: int, N: int) -> str | None:
+    # why some G(alpha + l, N) with l < a is undefined, or None: x = 0, or a zero factor of
+    # some (1/2 + alpha + l)_N, that is of (1/2 + alpha)_(N + a - 1)
+    l_zero = _zero_factor(alpha, a)
+    if l_zero is not None:
+        return f"G has a pole at x = 0 (l = {l_zero})"
+    j = half_pole_index(alpha, N + a - 1)
+    if j is not None:
+        return f"(1/2 + {alpha} + {max(0, j - N + 1)})_{N} has a zero factor"
+    return None
 
 
 def sum_G_boundary(alpha: Rational, a: int, N: int) -> Rational:
@@ -161,15 +171,9 @@ def sum_G_boundary(alpha: Rational, a: int, N: int) -> Rational:
     alpha = Fraction(alpha)
     if a == 0:
         return Fraction(0)
-
-    # reject any pole in the whole l-range up front
-    if alpha.denominator == 1 and 0 <= -alpha < a:
-        raise PochhammerPoleError(f"G has a pole at x = 0 (l = {-alpha})")
-    j = half_pole_index(alpha)
-    if j is not None and j < N + a - 1:
-        bad_l = max(0, j - N + 1)
-        raise PochhammerPoleError(f"(1/2 + {alpha} + {bad_l})_{N} has a zero factor")
-
+    pole = _boundary_pole(alpha, a, N)
+    if pole is not None:
+        raise PochhammerPoleError(pole)
     half = Fraction(1, 2)
     uppers, lowers = (alpha + N,) * 3 + (half + alpha,), (alpha + 1,) * 3 + (half + alpha + N,)
     return N**3 * _well_poised_sum(N + 2 * alpha, _core(alpha, N) / alpha**3, uppers, lowers, a)

@@ -2,6 +2,8 @@ import concurrent.futures
 import dataclasses
 import time
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,15 @@ from supercong.congruence_suite import (
 )
 from supercong.dwork import DashParams, dash_iter
 from supercong.exact_core import INFINITE, PrimeRequiredError, residue, valuation
-from supercong.hyper_wz import harmonic, half_pole_index, sum_F, sum_G_boundary
+from supercong.hyper_wz import (
+    PochhammerPoleError,
+    half_pole_index,
+    harmonic,
+    sum_F,
+    sum_G_boundary,
+    term_G,
+    wz_residual,
+)
 from supercong.padic_gamma import PrecisionCapError
 
 HALF = Fraction(1, 2)
@@ -467,6 +477,82 @@ def test_wz_fuzz_cases_drop_inadmissible_draws():
     for x, k in wz_fuzz_cases(50, seed=38):
         pole = half_pole_index(x)
         assert x != 0 and (pole is None or pole > k)
+
+
+class _QueuedDraws:
+    """Stands in for random.Random in a case generator: randint returns the queued draws."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def randint(self, low, high):
+        return next(self._draws)
+
+
+def _first_case(generator, draws, fallback):
+    # the first case the generator keeps when its rng yields draws, then an admissible fallback
+    rng = SimpleNamespace(Random=lambda seed: _QueuedDraws([*draws, *fallback]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(congruence_suite, "random", rng)
+        return generator(1)[0]
+
+
+def _runs_without_pole(*evaluators):
+    try:
+        for evaluate in evaluators:
+            evaluate()
+    except PochhammerPoleError:
+        return False
+    return True
+
+
+@st.composite
+def wz_draws(draw):
+    # x = 0, x = -j - 1/2 with j near k, or any x the generator can draw
+    k = draw(st.integers(0, 25))
+    j = draw(st.integers(max(0, k - 2), k + 2))
+    num, den = draw(
+        st.tuples(st.just(0), st.integers(1, 1_000))
+        | st.just((-(2 * j + 1), 2))
+        | st.tuples(st.integers(-1_000, 1_000), st.integers(1, 1_000))
+    )
+    return num, den, k
+
+
+@st.composite
+def telescope_draws(draw):
+    # a negative integer near -a, a half pole near N + a - 1, or any alpha the generator can draw
+    a, n = draw(st.integers(1, 12)), draw(st.integers(1, 60))
+    m, den = draw(st.integers(max(0, a - 2), a + 2)), draw(st.integers(1, 3))
+    j = draw(st.integers(max(0, n + a - 3), n + a + 1))
+    num, den = draw(
+        st.just((-m * den, den))
+        | st.just((-(2 * j + 1), 2))
+        | st.tuples(st.integers(-60, 60), st.integers(1, 20))
+    )
+    return num, den, a, n
+
+
+@settings(max_examples=300)
+@given(wz_draws())
+def test_wz_fuzz_keeps_a_draw_exactly_when_the_residual_is_defined(draws):
+    num, den, k = draws
+    x = Fraction(num, den)
+    kept = _first_case(wz_fuzz_cases, draws, (1, 1, 0)) == (x, k)
+    assert kept == _runs_without_pole(lambda: wz_residual(x, k)), (x, k)
+
+
+@settings(max_examples=300)
+@given(telescope_draws())
+def test_telescope_keeps_a_draw_exactly_when_both_sums_are_defined(draws):
+    num, den, a, n = draws
+    x = Fraction(num, den)
+    kept = _first_case(telescope_cases, draws, (1, 1, 1, 1)) == (x, a, n)
+    evaluators = (lambda: sum_F(x, n), lambda: sum_F(x + a, n), lambda: sum_G_boundary(x, a, n))
+    assert kept == _runs_without_pole(*evaluators), (x, a, n)
+    # and each G term on its own, so a check that the generator shares with sum_G_boundary
+    # cannot be wrong in both places at once
+    assert kept == _runs_without_pole(*(partial(term_G, x + l, n) for l in range(a))), (x, a, n)
 
 
 def test_run_wz_fuzz_small():

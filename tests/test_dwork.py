@@ -1,5 +1,7 @@
 """Dash operation: single steps, iterates, closed form, orbits."""
 
+import random
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from supercong import (
     dash_period,
     residue,
 )
+from supercong import dwork
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19]
 
@@ -163,3 +166,28 @@ def test_integers_are_eventually_fixed(n, p):
         y = dash(y, p)
     assert y in (Rational(0), Rational(1))
     assert dash(y, p) == y
+
+
+def test_dash_iter_matches_the_step_by_step_walk():
+    # dash_iter reads the n-th iterate off the orbit's cycle; dash_iterates walks all n steps
+    rng = random.Random(2_026)
+    for _ in range(600):
+        p = rng.choice(PRIMES)
+        den = rng.choice([d for d in range(1, 49) if d % p != 0])
+        x = Rational(rng.randint(-3_000, 3_000), den)  # x > 1, negative x and integers
+        n = rng.randint(0, 4 * dash_period(den, p) + 12) if den > 1 else rng.randint(0, 40)
+        assert dash_iter(x, p, n) == dash_iterates(x, p, n)[-1], (x, p, n)
+
+
+def test_dash_iter_allows_a_preperiod_and_skips_the_closed_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dash_iter must find the cycle by iteration")
+
+    monkeypatch.setattr(dwork, "dash_closed_form", refuse)
+    # 5/4 = 1/2 + 3/4 steps into the cycle 1/4 -> 3/4 -> 1/4 at p = 7
+    assert dash_iterates(Rational(5, 4), 7, 3) == [Rational(k, 4) for k in (5, 3, 1, 3)]
+    assert dash_iter(Rational(5, 4), 7, 10**18) == Rational(1, 4)
+    assert dash_iter(Rational(5, 4), 7, 10**18 + 1) == Rational(3, 4)
+    assert dash_iter(Rational(-9), 5, 10**18) == 0  # an integer ends at a fixed point
+    with pytest.raises(ValueError, match="iteration count"):
+        dash_iter(Rational(5, 4), 7, -1)

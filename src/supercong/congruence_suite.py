@@ -437,15 +437,15 @@ def _check_dash_residue(params: DashParams, p: int, r: int) -> tuple[int, Valuat
 def _check_dash_max_multiple(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:
     # vacuously true at r = 1: there is no j to check
     iterates = dash_iterates(params.alpha, p, r)
-    asr = iterates[r]
-
-    def holds(j: int) -> bool:
-        bound = _as_int(asr * p ** (r - j) - iterates[j], "candidate range end")
-        claimed = _as_int(asr * p ** (r - j) - iterates[j + 1] * p, "claimed maximum")
+    multiple = iterates[r] * p**r  # alpha^(*r) p^(r - j), divided by p as j steps up
+    for j in range(r - 1):
+        bound = _as_int(multiple - iterates[j], "candidate range end")
+        claimed = _as_int(multiple - iterates[j + 1] * p, "claimed maximum")
         # claimed = 0 is the degenerate case: no multiple of p in [1, bound]
-        return claimed == p * (bound // p)
-
-    return 1, _exact(all(holds(j) for j in range(r - 1)))
+        if claimed != p * (bound // p):
+            return 1, _exact(False)
+        multiple /= p
+    return 1, _exact(True)
 
 
 def _check_pochhammer_unit(params: DashParams, p: int, r: int) -> tuple[int, Valuation]:

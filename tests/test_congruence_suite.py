@@ -1,6 +1,8 @@
 import concurrent.futures
 import dataclasses
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -34,8 +36,8 @@ from supercong.congruence_suite import (
     verify_theorem,
     wz_fuzz_cases,
 )
-from supercong.dwork import DashParams, dash_iter
-from supercong.exact_core import INFINITE, PrimeRequiredError, residue, valuation
+from supercong.dwork import DashParams, dash_iter, dash_iterates
+from supercong.exact_core import INFINITE, PrimeRequiredError, is_prime, residue, valuation
 from supercong.hyper_wz import (
     PochhammerPoleError,
     half_pole_index,
@@ -248,6 +250,55 @@ def test_dash_max_multiple_degenerate_case():
     # r = 1 leaves nothing to quantify over
     rep = verify_lemma(LemmaCheck.DASH_MAX_MULTIPLE, DashParams(1, 4, 3), 7, 1)
     assert rep.observed_valuation == INFINITE
+
+
+def max_multiple_oracle(iterates_of, params, p, r):
+    # the dash-max-multiple check as it was before it stepped alpha^(*r) p^(r - j) down by
+    # one division by p per j, with its iterates taken from iterates_of; kept as its oracle
+    iterates = iterates_of(params.alpha, p, r)
+    asr = iterates[r]
+    as_int = congruence_suite._as_int
+
+    def holds(j: int) -> bool:
+        bound = as_int(asr * p ** (r - j) - iterates[j], "candidate range end")
+        claimed = as_int(asr * p ** (r - j) - iterates[j + 1] * p, "claimed maximum")
+        # claimed = 0 is the degenerate case: no multiple of p in [1, bound]
+        return claimed == p * (bound // p)
+
+    return 1, congruence_suite._exact(all(holds(j) for j in range(r - 1)))
+
+
+def test_dash_max_multiple_matches_its_oracle(monkeypatch):
+    # the iterates are true ones, or one of them (often the first or the r-th) is moved by
+    # 1 or 1/2, so that the check also fails and raises; the observation, or the error's
+    # type and message, must agree
+    rng = random.Random(2027)
+    primes = [p for p in range(5, 200) if is_prime(p)]
+
+    def observe(check, *args):
+        try:
+            return check(*args)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    seen = Counter()
+    for _ in range(240):
+        params, p, r = rng.choice(THEOREM_ROWS), rng.choice(primes), rng.randint(1, 300)
+        at, shift = rng.choice((0, r, rng.randint(0, r))), rng.choice((0, 0, 1, Fraction(1, 2)))
+
+        def iterates_of(x, p, n, at=at, shift=shift):
+            iterates = dash_iterates(x, p, n)
+            iterates[at] += shift
+            return iterates
+
+        monkeypatch.setattr(congruence_suite, "dash_iterates", iterates_of)
+        observed = observe(congruence_suite._check_dash_max_multiple, params, p, r)
+        assert observed == observe(max_multiple_oracle, iterates_of, params, p, r), (params, p, r)
+        # a report's observation, or what the first _as_int refused
+        seen[observed if observed[0] == 1 else observed[1].split(" is ")[0]] += 1
+    assert seen[(1, INFINITE)] > 100 and seen[(1, 0)] > 5, seen
+    assert seen["candidate range end"] > 5 and seen["claimed maximum"] > 5, seen
+    assert len(seen) == 4, seen
 
 
 def test_pochhammer_unit_nonunit_iterate_path():

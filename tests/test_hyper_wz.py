@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -398,7 +399,8 @@ def test_sum_g_boundary_matches_the_loop_oracle():
 
 def test_kernel_cancels_common_factors_at_every_merge(monkeypatch):
     # without the gcd at each merge the unreduced denominator Q ud of sum_F(1/4, 29^2) has
-    # 34 537 bits against the reduced 8 035; with it, 9 134
+    # 34 537 bits against the reduced 8 035; with it, 9 604. For sum_F(1/3, 17^3) it has
+    # 45 032 bits against the reduced 38 789
     calls = []
 
     def recording_fraction(*args):
@@ -406,9 +408,75 @@ def test_kernel_cancels_common_factors_at_every_merge(monkeypatch):
         return Fraction(*args)
 
     monkeypatch.setattr(hyper_wz, "Fraction", recording_fraction)
-    result = sum_F(Fraction(1, 4), 29**2)
-    _, unreduced = [args for args in calls if len(args) == 2][-1]
-    assert unreduced.bit_length() <= 1.5 * result.denominator.bit_length()
+    for x, n in ((Fraction(1, 4), 29**2), (Fraction(1, 3), 17**3)):
+        result = sum_F(x, n)
+        _, unreduced = [args for args in calls if len(args) == 2][-1]
+        assert unreduced.bit_length() <= 1.5 * result.denominator.bit_length(), (x, n)
+
+
+def test_kernel_takes_one_gcd_per_merge(monkeypatch):
+    # 4 913 terms split into 256 ranges of at most _LEAF = 32 terms, each summed in one
+    # loop, so 255 merges take a gcd; with one-term ranges it took 4 912. A sum of _LEAF
+    # terms is one loop and merges nothing
+    gcds = []
+
+    def counting_gcd(*args):
+        gcds.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(hyper_wz, "math", SimpleNamespace(gcd=counting_gcd, lcm=math.lcm))
+    for n, merges in ((17**3, 255), (hyper_wz._LEAF, 0), (hyper_wz._LEAF + 1, 1)):
+        gcds.clear()
+        sum_F(Fraction(1, 3), n)
+        assert len(gcds) == merges, n
+
+
+LEAF = hyper_wz._LEAF
+# sums that end just inside, at and past one, two and three ranges of _LEAF terms
+LEAF_EDGES = (LEAF - 1, LEAF, LEAF + 1, 2 * LEAF, 2 * LEAF + 1, 3 * LEAF - 1)
+
+
+def leaf_ranges(l, r):
+    # the ranges [l, r) that the kernel sums in one loop each, in order
+    if r - l <= LEAF:
+        return [(l, r)]
+    m = (l + r) // 2
+    return leaf_ranges(l, m) + leaf_ranges(m, r)
+
+
+def off_lattice_rational(rng):
+    # neither an integer nor a half-integer, so no factor or pole check can vanish
+    return Fraction(3 * rng.randint(-20, 20) + rng.choice((1, 2)), 3 * rng.choice((1, 5, 7)))
+
+
+def test_kernel_matches_the_loop_oracles_at_the_leaf_edges():
+    rng = random.Random(2030)
+    assert [len(leaf_ranges(0, n)) for n in LEAF_EDGES] == [1, 1, 2, 2, 3, 4]
+    for n in LEAF_EDGES:
+        for _ in range(3):
+            # d = x + n makes the lower factor at n - 1 zero, which the kernel never forms
+            x = off_lattice_rational(rng)
+            for d in (Fraction(1, 2), x, x + n):
+                assert sum_F(x, n, d) == loop_sum_F(x, n, d), (x, n, d)
+            alpha, N = off_lattice_rational(rng), rng.randint(1, 30)
+            assert sum_G_boundary(alpha, n, N) == loop_sum_G_boundary(alpha, n, N), (alpha, n, N)
+            # a negative integer x at or below -n is no pole
+            m = rng.randint(1, 4)
+            for x in (1, rng.randint(2, 40), -off_lattice_rational(rng) - 9, -n - rng.randint(0, 9)):
+                assert harmonic(n, m, x) == loop_harmonic(n, m, x), (n, m, x)
+
+
+def test_kernel_matches_the_loop_oracle_with_a_zero_factor_at_a_leaf_edge():
+    # term i holds the upper factors at i - 1, so an upper factor 1 - i makes P zero from
+    # term i on; put it at the first and at the last term of each range the kernel loops over
+    n = 4 * LEAF
+    leaves = leaf_ranges(0, n)
+    assert len(leaves) == 4
+    for l, r in leaves:
+        for i in (max(l, 1), r - 1):
+            zero = Fraction(1 - i)
+            for x, d in ((zero, Fraction(1, 2)), (Fraction(1, 3), zero)):
+                assert sum_F(x, n, d) == loop_sum_F(x, n, d), (x, n, d)
 
 
 def loop_harmonic(n, m, x):
